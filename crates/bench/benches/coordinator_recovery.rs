@@ -1,14 +1,19 @@
-//! E12 — durability: coordinator recovery cost, full replay vs
-//! snapshot + tail.
+//! E12 — durability: recovery cost of a one-shard plane (the single master
+//! server), full replay vs snapshot + tail.
 //!
 //! Replaying the whole journal is linear in the run length; periodic
 //! instance snapshots cap the replayed tail at `snapshot_every` events, so
-//! recovery time stays flat as the log grows.
+//! recovery time stays flat as the log grows. Each iteration times one
+//! [`ShardPlane::recover`] over the single stream: replay, repartition, and
+//! the cold-replica resync.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 
-use cwf_engine::{Bindings, Coordinator, Event, MemBackend, SyncPolicy, Wal, WalOptions};
+use cwf_engine::{
+    Bindings, Event, MemBackend, PerfectTransport, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal,
+    WalOptions,
+};
 use cwf_lang::{parse_workflow, VarId, WorkflowSpec};
 
 fn spec() -> Arc<WorkflowSpec> {
@@ -24,17 +29,23 @@ fn spec() -> Arc<WorkflowSpec> {
     )
 }
 
-/// Journals `n` accepted events and returns the raw log bytes.
+/// Journals `n` accepted events through a one-shard durable plane and
+/// returns the raw stream bytes.
 fn journal(spec: &Arc<WorkflowSpec>, n: usize, opts: WalOptions) -> Vec<u8> {
     let backend = MemBackend::new();
     let wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
-    let mut c = Coordinator::with_wal(Arc::clone(spec), wal);
+    let mut plane = ShardPlane::with_parts(
+        Arc::clone(spec),
+        vec![Box::new(PerfectTransport::new())],
+        Some(vec![wal]),
+        ShardPlaneConfig::default(),
+    );
     let draft = spec.program().rule_by_name("draft").unwrap();
     for _ in 0..n {
-        let d = c.draw_fresh();
+        let d = plane.draw_fresh();
         let mut b = Bindings::empty(1);
         b.set(VarId(0), d);
-        c.submit(Event::new(spec, draft, b).unwrap()).unwrap();
+        plane.submit(Event::new(spec, draft, b).unwrap()).unwrap();
     }
     backend.bytes()
 }
@@ -53,10 +64,16 @@ fn bench_recovery(c: &mut Criterion) {
             let bytes = journal(&spec, n, opts);
             group.bench_with_input(BenchmarkId::new(label, n), &bytes, |b, bytes| {
                 b.iter(|| {
-                    let backend = MemBackend::from_bytes(bytes.clone());
-                    let r = Wal::recover(Box::new(backend), Arc::clone(&spec), opts).unwrap();
-                    assert_eq!(r.report.last_seq as usize, n);
-                    r.report.events_replayed
+                    let (_, report) = ShardPlane::recover(
+                        Arc::clone(&spec),
+                        vec![Box::new(MemBackend::from_bytes(bytes.clone()))],
+                        opts,
+                        vec![Box::new(PerfectTransport::new())],
+                        ShardPlaneConfig::default(),
+                    )
+                    .unwrap();
+                    assert_eq!(report.last_seq as usize, n);
+                    report.events_replayed
                 })
             });
         }

@@ -2,20 +2,20 @@
 //! WAL streams, key-local vs cross-shard.
 //!
 //! Drives one fixed scripted workload (the editorial chaos spec, seeded
-//! candidate walk, `STEPS` accepted events) through a WAL-backed single
-//! [`Coordinator`] and through a durable [`ShardPlane`] at 1, 2, and 4
-//! shards — per-shard in-memory streams, `SyncPolicy::Always` — measuring
-//! end-to-end accepted events per second including delivery pumping and
-//! the final convergence sweep. The plane's admission counters split the
+//! candidate walk, `STEPS` accepted events) through plain journaled
+//! admission — [`Run::push`] plus a single-stream [`Wal::append_event`] and
+//! [`Wal::maybe_snapshot`] per event — and through a durable [`ShardPlane`]
+//! at 1, 2, and 4 shards — per-shard in-memory streams,
+//! `SyncPolicy::Always` — measuring accepted events per second; the plane
+//! passes include delivery pumping and the final convergence sweep. The plane's admission counters split the
 //! workload into key-local events (one `e` record on the home stream, no
 //! router WAL work) and cross-shard commits (the prepare/commit protocol),
 //! and the key-local share is timed separately by filtering the workload
 //! to the events that commit locally at 4 shards.
 //!
 //! Writes `BENCH_dist_admission.json` at the repository root (consumed by
-//! EXPERIMENTS.md E19). The acceptance bar is overhead-shaped: a durable
-//! shards=1 plane within 1.5× of the WAL-backed coordinator, and
-//! key-local admission strictly cheaper than cross-shard commits.
+//! EXPERIMENTS.md E19). The gated quantity is overhead-shaped: each
+//! durable plane's throughput as a fraction of journaled run admission.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use cwf_engine::chaos::default_spec;
 use cwf_engine::transport::Transport;
 use cwf_engine::{
-    candidates, complete, Coordinator, Event, MemBackend, PerfectTransport, Run, ShardPlane,
-    ShardPlaneConfig, SyncPolicy, Wal, WalOptions,
+    candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardPlane, ShardPlaneConfig,
+    SyncPolicy, Wal, WalOptions,
 };
 use cwf_lang::WorkflowSpec;
 
@@ -90,16 +90,19 @@ fn durable_plane(spec: &Arc<WorkflowSpec>, shards: usize) -> ShardPlane {
     )
 }
 
-/// Submit everything through a WAL-backed single coordinator and converge.
-fn coordinator_pass(spec: &Arc<WorkflowSpec>, events: &[Event]) -> usize {
-    let wal = Wal::create(Box::new(MemBackend::new()), opts()).expect("fresh backend");
-    let mut c = Coordinator::with_wal(Arc::clone(spec), wal);
+/// Push everything into a fresh plain run, journaling each event (and the
+/// cadenced snapshot) to one in-memory stream: durable admission alone,
+/// the denominator of every plane ratio.
+fn run_wal_pass(spec: &Arc<WorkflowSpec>, events: &[Event]) -> usize {
+    let mut wal = Wal::create(Box::new(MemBackend::new()), opts()).expect("fresh backend");
+    let mut run = Run::new(Arc::clone(spec));
     for e in events {
-        c.submit(e.clone()).expect("accepted events replay");
+        run.push(e.clone()).expect("accepted events replay");
+        wal.append_event(spec, e).expect("in-memory append");
+        wal.maybe_snapshot(spec.collab().schema(), run.current(), run.fresh_watermark())
+            .expect("in-memory snapshot");
     }
-    c.converge(10_000);
-    assert!(c.audit().is_ok());
-    c.run().current().total_tuples()
+    run.current().total_tuples()
 }
 
 /// Submit everything through a fresh durable `shards`-shard plane and
@@ -131,13 +134,13 @@ fn main() {
     let spec = default_spec();
     let events = build_events(&spec);
 
-    let (coord_s, coord_sum) = time_passes(|| coordinator_pass(&spec, &events));
+    let (run_s, run_sum) = time_passes(|| run_wal_pass(&spec, &events));
     let mut plane_results = Vec::new();
     for shards in [1usize, 2, 4] {
         let (s, sum) = time_passes(|| plane_pass(&spec, &events, shards));
         assert_eq!(
-            sum, coord_sum,
-            "the durable plane at {shards} shards must land on the coordinator's state"
+            sum, run_sum,
+            "the durable plane at {shards} shards must land on the run's state"
         );
         plane_results.push((shards, s));
     }
@@ -146,14 +149,14 @@ fn main() {
 
     let eps = |s: f64| STEPS as f64 / s;
     println!(
-        "E19_dist_admission/coordinator+wal ... {:>9.0} events/s",
-        eps(coord_s)
+        "E19_dist_admission/run+wal         ... {:>9.0} events/s",
+        eps(run_s)
     );
     for &(shards, s) in &plane_results {
         println!(
-            "E19_dist_admission/shards={shards}       ... {:>9.0} events/s ({:.2}x vs coordinator)",
+            "E19_dist_admission/shards={shards}       ... {:>9.0} events/s ({:.2}x of run+wal)",
             eps(s),
-            coord_s / s
+            run_s / s
         );
     }
     println!(
@@ -162,8 +165,8 @@ fn main() {
 
     let mut json = format!(
         "{{\n  \"experiment\": \"E19_dist_admission\",\n  \"steps\": {STEPS},\n  \
-         \"coordinator_wal_events_per_sec\": {:.0},\n",
-        eps(coord_s)
+         \"run_wal_events_per_sec\": {:.0},\n",
+        eps(run_s)
     );
     for &(shards, s) in &plane_results {
         json.push_str(&format!(

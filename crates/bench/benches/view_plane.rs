@@ -6,7 +6,7 @@
 //!
 //! * **plane** — bootstrap each peer once and roll the stored per-event
 //!   [`ViewDelta`]s forward (`peer_delta` + `apply_to_view`), exactly what
-//!   `Run::push` and the coordinator do in production;
+//!   `Run::push` and the plane do in production;
 //! * **rescan** — recompute `CollabSchema::view_of` from scratch for every
 //!   `(step, peer)` pair, what the engine did before the view plane.
 //!

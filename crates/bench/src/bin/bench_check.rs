@@ -13,10 +13,11 @@
 //! * `BENCH_view_plane.json` — the incremental-maintenance `speedup`
 //!   (rescan cost over plane cost);
 //! * `BENCH_shard_plane.json` — each `plane_N_shards_events_per_sec`
-//!   relative to `coordinator_events_per_sec` (the sharding overhead);
-//! * `BENCH_dist_admission.json` — each durable plane throughput relative
-//!   to `coordinator_wal_events_per_sec` (the distributed-admission
+//!   relative to `run_events_per_sec`, a plain `Run::push` loop (the plane
 //!   overhead);
+//! * `BENCH_dist_admission.json` — each durable plane throughput relative
+//!   to `run_wal_events_per_sec`, `Run::push` plus a single-stream WAL
+//!   append and snapshot (the distributed-admission overhead);
 //! * `BENCH_reshard_admission.json` — admission throughput with a live
 //!   split in flight relative to the idle map (the resharding tax);
 //! * `BENCH_par_analysis.json` — the 4-thread min-scenario and boundedness
@@ -80,9 +81,9 @@ fn ratios(experiment: &str) -> Vec<(String, String, Option<String>)> {
             .iter()
             .map(|n| {
                 (
-                    format!("plane_{n}_shards / coordinator"),
+                    format!("plane_{n}_shards / run"),
                     format!("plane_{n}_shards_events_per_sec"),
-                    Some("coordinator_events_per_sec".into()),
+                    Some("run_events_per_sec".into()),
                 )
             })
             .collect(),
@@ -90,9 +91,9 @@ fn ratios(experiment: &str) -> Vec<(String, String, Option<String>)> {
             .iter()
             .map(|n| {
                 (
-                    format!("durable plane_{n}_shards / coordinator+wal"),
+                    format!("durable plane_{n}_shards / run+wal"),
                     format!("plane_{n}_shards_events_per_sec"),
-                    Some("coordinator_wal_events_per_sec".into()),
+                    Some("run_wal_events_per_sec".into()),
                 )
             })
             .collect(),

@@ -1,61 +1,61 @@
 //! Deterministic chaos harness: seeded whole-system simulation with
 //! invariant oracles, crash–restart coverage, and trace minimization.
 //!
-//! The harness stress-tests the full fault-tolerant stack — coordinator,
-//! delivery protocol, WAL, degraded mode, governed analyses — the way
-//! FoundationDB tests its database: one `u64` seed determines *everything*
-//! (the action trace, the network fault schedule, the storage fault
-//! schedule), so any failure is replayable from a single printed line and
-//! shrinkable by delta debugging.
+//! The harness stress-tests the full fault-tolerant stack — the
+//! [`ShardPlane`](crate::ShardPlane) at any shard count, its delivery
+//! protocol, per-shard WALs, commit protocol, resharding, degraded mode,
+//! governed analyses — the way FoundationDB tests its database: one `u64`
+//! seed determines *everything* (the action trace, the network fault
+//! schedules, the storage fault schedules), so any failure is replayable
+//! from a single printed line and shrinkable by delta debugging. At one
+//! shard the plane is the single master server, so the same harness is the
+//! single-node harness.
 //!
 //! The moving parts:
 //!
 //! * [`actions`] — the action grammar ([`Action`]) and its textual trace
 //!   codec ([`format_trace`] / [`parse_trace`]). Actions carry their own
 //!   choice data so execution is a pure function of `(seed, trace)`.
-//! * [`sim`] — [`ChaosSim`] builds a universe per trace (coordinator over a
-//!   faulty transport and a fault-injecting in-memory disk), executes
-//!   actions, and maintains the *shadow run*: the full accepted history,
-//!   replayed from the empty instance, surviving crashes and snapshots.
+//! * [`sim`] — [`ShardChaosSim`] builds a universe per trace (a plane with
+//!   per-shard faulty transports, fault-injecting in-memory disks, and
+//!   standby replicas), executes actions, and maintains the *shadow run*:
+//!   the full accepted history, replayed from the empty instance,
+//!   surviving crashes and snapshots.
 //! * [`oracle`] — the pluggable invariants ([`Oracle`]) checked after every
-//!   action: shadow equivalence, replica/prefix consistency, WAL-replay
-//!   equivalence with no-lost-acked-events, degraded-mode safety, and
-//!   well-formedness under the key chase; post-heal convergence runs as the
-//!   closing check of every trace.
-//! * [`shard_sim`] — [`ShardChaosSim`] runs the same grammar against the
-//!   **sharded** state plane (N coordinator shards, per-shard transports,
-//!   standby replicas): partitions, failovers, and hand-offs get teeth, and
-//!   the shard oracle battery checks the union of shard states against the
-//!   single-shard shadow after every action.
+//!   action: shard-state union, per-slice replica prefixes, HLC causality,
+//!   quorum WAL replay with no-lost-acked-events, single key ownership,
+//!   provenance soundness, degraded-mode safety, well-formedness under the
+//!   key chase, and the view-plane differential; post-heal convergence
+//!   runs as the closing check of every trace.
 //! * [`shrink`] — [`ddmin`] minimizes a failing trace to a 1-minimal repro
 //!   by re-executing candidates from the same seed.
 //!
 //! ```no_run
-//! use cwf_engine::chaos::{default_spec, ChaosProfile, ChaosSim};
+//! use cwf_engine::chaos::{default_spec, ChaosProfile, ShardChaosSim};
 //!
-//! let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+//! let sim = ShardChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 1);
 //! if let Err(failure) = sim.check_seed(42, 60) {
 //!     // `failure` prints `seed=.. oracle=..` plus a minimized trace that
-//!     // replays verbatim via `parse_trace` + `ChaosSim::run_trace`.
+//!     // replays verbatim via `parse_trace` + `ShardChaosSim::run_trace`.
 //!     panic!("{failure}");
 //! }
 //! ```
 
 pub mod actions;
 pub mod oracle;
-pub mod shard_sim;
 pub mod shrink;
 pub mod sim;
 
 pub use actions::{format_trace, parse_trace, Action, ActionParseError};
 pub use oracle::{
-    default_oracles, default_shard_oracles, governed_view_audit, governed_wellformed, Checkpoint,
-    EventCountOracle, HlcCausality, Oracle, ProvenanceSound, ShardCheckpoint, ShardOracle,
-    ShardOwnership, ShardProvenanceSound, ShardSlicePrefix, ShardStateUnion, ViewPlaneOracle,
+    default_oracles, governed_view_audit, governed_wellformed, Checkpoint, EventCountOracle,
+    HlcCausality, Oracle, ProvenanceSound, ShardOwnership, ShardSlicePrefix, ShardStateUnion,
+    ViewPlaneOracle,
 };
-pub use shard_sim::ShardChaosSim;
 pub use shrink::ddmin;
-pub use sim::{generate_trace, ChaosConfig, ChaosFailure, ChaosProfile, ChaosSim, TraceReport};
+pub use sim::{
+    generate_trace, ChaosConfig, ChaosFailure, ChaosProfile, ShardChaosSim, TraceReport,
+};
 
 use std::sync::Arc;
 

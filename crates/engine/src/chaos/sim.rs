@@ -1,21 +1,28 @@
 //! The seeded whole-system chaos simulator.
 //!
-//! A [`ChaosSim`] drives one [`Coordinator`] deployment — durable WAL on a
-//! simulated disk, unreliable transport, degraded mode, crash–restart —
-//! through generated [`Action`] traces, with **every** source of
-//! nondeterminism derived from a single `u64` seed (FoundationDB-style):
-//! the trace itself, the network fault schedule, and the storage fault
-//! schedule all come from disjoint RNG streams of the seed, and restarts
-//! re-derive their streams from `(seed, epoch)`. Executing the same
-//! `(seed, trace)` twice is therefore byte-identical, which is what makes
-//! the [`shrink`](crate::chaos::shrink) step sound and every failure
-//! replayable from one printed line.
+//! A [`ShardChaosSim`] drives one [`ShardPlane`] deployment — durable
+//! per-shard WAL streams on simulated disks, an unreliable transport per
+//! shard, standby replicas, partitionable links, degraded mode,
+//! crash–restart — through generated [`Action`] traces, with **every**
+//! source of nondeterminism derived from a single `u64` seed
+//! (FoundationDB-style): the trace itself, the network fault schedules,
+//! and the storage fault schedules all come from disjoint RNG streams of
+//! the seed, and restarts re-derive their streams from `(seed, epoch)`.
+//! Executing the same `(seed, trace)` twice is therefore byte-identical,
+//! which is what makes the [`shrink`](crate::chaos::shrink) step sound and
+//! every failure replayable from one printed line. At one shard this is the
+//! single-node harness; with more, [`Partition`](Action::Partition)
+//! resolves to a (shard, link) pair covering every peer slice *and* every
+//! standby replication link, and the failover, hand-off, commit-protocol,
+//! and resharding actions get their full reach.
 //!
-//! Alongside the live coordinator the simulator maintains a **shadow run**:
-//! the full accepted history replayed from the empty instance. The shadow
-//! is what the [oracles](crate::chaos::oracle) compare against — it
-//! survives crashes and WAL snapshots, which the coordinator's own run does
-//! not.
+//! Alongside the plane the simulator maintains a **shadow run**: the full
+//! accepted history replayed from the empty instance. The shadow is what
+//! the [oracles](crate::chaos::oracle) compare against — it survives
+//! crashes and WAL snapshots, which the plane's own run does not. After
+//! heal + pump-to-quiescence the closing check requires the union of shard
+//! states to equal the shadow instance **byte for byte** and every peer's
+//! slice union to equal its `view_of` reference.
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,7 +30,7 @@ use std::sync::Arc;
 use cwf_lang::WorkflowSpec;
 use cwf_model::govern::{CancelToken, Governor, Pool, Reason, Verdict};
 use cwf_model::solver::satisfiable_within_pooled;
-use cwf_model::{AttrId, Condition};
+use cwf_model::{AttrId, Condition, PeerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,34 +39,35 @@ use crate::chaos::oracle::{
     default_oracles, governed_view_audit, governed_wellformed, Checkpoint, Oracle,
 };
 use crate::chaos::shrink::ddmin;
-use crate::coordinator::{Convergence, Coordinator, CoordinatorConfig, MaterializedView};
+use crate::delivery::{DeliveryConfig, MaterializedView};
 use crate::error::CoordinatorError;
 use crate::event::Event;
 use crate::fault::FaultPlan;
 use crate::run::Run;
+use crate::shard::{ShardConvergence, ShardId, ShardLink, ShardPlane, ShardPlaneConfig};
 use crate::simulate::{candidates, complete, Candidate};
 use crate::stats::FtStats;
-use crate::transport::FaultyTransport;
-use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy, Wal, WalOptions};
+use crate::transport::{FaultyTransport, Transport};
+use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy, Wal, WalBackend, WalOptions};
 
 /// Splits the one seed into independent streams (generation, network,
 /// storage) and per-restart epochs.
-pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
+fn mix(seed: u64, salt: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(salt)
         .rotate_left(17)
         .wrapping_mul(0xBF58_476D_1CE4_E5B9)
 }
 
-pub(crate) const GEN_SALT: u64 = 0x01;
-pub(crate) const NET_SALT: u64 = 0x02;
-pub(crate) const STORAGE_SALT: u64 = 0x03;
+const GEN_SALT: u64 = 0x01;
+const NET_SALT: u64 = 0x02;
+const STORAGE_SALT: u64 = 0x03;
 
 /// The fixed 12-atom selection condition of the [`Action::ParCancel`]
 /// solver differential — wide enough (≥ 11 atoms) to engage the solver's
 /// parallel split, structured enough (6 two-atom clauses) that the search
 /// is not trivial.
-pub(crate) fn par_probe_condition() -> Condition {
+fn par_probe_condition() -> Condition {
     Condition::and((0..6u32).map(|i| {
         Condition::or([
             Condition::eq_const(AttrId(i), i64::from(i)),
@@ -77,7 +85,7 @@ pub enum ChaosProfile {
     /// Frequent crash–restarts over a moderately faulty network.
     CrashHeavy,
     /// Faulty storage (short writes, fsync failures, transient errors), so
-    /// submits degrade the coordinator and rearm/recovery run hot.
+    /// submits degrade the plane and rearm/recovery run hot.
     StorageHeavy,
     /// Submit-heavy traffic biased toward *modifying* candidates — inserts
     /// whose key already exists, so the chase null-fills tuples in place.
@@ -86,20 +94,18 @@ pub enum ChaosProfile {
     /// differential view-plane oracle.
     ModificationHeavy,
     /// Link-level partitions, shard failovers, and hand-offs over a mildly
-    /// faulty network: the robustness profile of the sharded state plane
-    /// (on a single coordinator only the partition actions bite).
+    /// faulty network: the robustness profile of the sharded state plane.
     PartitionHeavy,
     /// Cross-shard commit-protocol faults — stalled participant commits,
     /// post-prepare aborts, router deaths with in-doubt prepares — over a
     /// mildly faulty network and storage, plus regular crash–restarts so
-    /// the presumed-abort recovery rule runs hot. On a single coordinator
-    /// the commit actions are no-op notes.
+    /// the presumed-abort recovery rule runs hot. At one shard every event
+    /// is shard-local, so the armed faults never fire.
     CommitHeavy,
     /// Elastic-resharding stress — live shard splits, merges, and
     /// rebalances interleaved with submits, failovers, hand-offs, router
     /// crashes, and mild storage faults, so migrations are regularly cut
-    /// down mid-flight and must resolve through epoch-aware recovery. On a
-    /// single coordinator the resharding actions are no-op notes.
+    /// down mid-flight and must resolve through epoch-aware recovery.
     ReshardHeavy,
 }
 
@@ -177,8 +183,8 @@ pub struct ChaosConfig {
     /// WAL snapshot cadence (chaos keeps it low so crash–restart regularly
     /// exercises snapshot-based recovery).
     pub snapshot_every: Option<u64>,
-    /// Delivery-protocol knobs of the coordinator under test.
-    pub coordinator: CoordinatorConfig,
+    /// Delivery-protocol knobs of every shard of the plane under test.
+    pub delivery: DeliveryConfig,
     /// Executions the shrinker may spend minimizing one failure.
     pub shrink_budget: usize,
 }
@@ -188,9 +194,9 @@ impl Default for ChaosConfig {
         ChaosConfig {
             converge_budget: 2_000,
             snapshot_every: Some(5),
-            coordinator: CoordinatorConfig {
+            delivery: DeliveryConfig {
                 resync_lag: 8,
-                ..CoordinatorConfig::default()
+                ..DeliveryConfig::default()
             },
             shrink_budget: 400,
         }
@@ -211,7 +217,7 @@ pub struct TraceReport {
     pub restarts: u64,
     /// Ticks the final post-heal convergence needed (0 when never healed).
     pub converge_ticks: u64,
-    /// Fault-tolerance counters of the final coordinator epoch.
+    /// Fault-tolerance counters of the final plane epoch.
     pub ft: FtStats,
     /// One line per notable execution step — broadcasts, rejections,
     /// recoveries. Two same-seed runs must produce byte-identical
@@ -228,7 +234,7 @@ pub struct ChaosFailure {
     /// The profile that was running.
     pub profile: ChaosProfile,
     /// Name of the violated oracle (or `action-invariant` /
-    /// `post-heal-convergence` for harness-level checks).
+    /// `cross-shard-convergence` for harness-level checks).
     pub oracle: String,
     /// Human-readable violation.
     pub detail: String,
@@ -264,59 +270,91 @@ impl fmt::Display for ChaosFailure {
 
 /// An action-invariant or oracle violation bubbling out of execution:
 /// `(check name, detail)`.
-pub(crate) type Violation = (String, String);
+type Violation = (String, String);
 
-pub(crate) fn inv(detail: impl Into<String>) -> Violation {
+fn inv(detail: impl Into<String>) -> Violation {
     ("action-invariant".to_string(), detail.into())
 }
 
-/// The live state of one trace execution (one "universe").
+/// The live state of one shard-plane trace execution.
 struct World {
     spec: Arc<WorkflowSpec>,
     profile: ChaosProfile,
     config: ChaosConfig,
     seed: u64,
-    coordinator: Coordinator,
-    /// Shared handle to the current epoch's simulated disk.
-    mem: MemBackend,
-    /// Fault-injecting decorator over `mem` (shared with the WAL).
-    io: IoFaultBackend,
+    shards: usize,
+    plane: ShardPlane,
+    /// One simulated disk per shard stream.
+    mems: Vec<MemBackend>,
+    ios: Vec<IoFaultBackend>,
     opts: WalOptions,
     shadow: Run,
     in_flight: Option<Event>,
     healed: bool,
     epoch: u64,
     restarts: u64,
+    /// The unsynced-byte budget of the crash forced by the last armed
+    /// [`Action::RouterCrash`].
+    router_crash_keep: u32,
+    /// Per-shard count of transport replacements (failovers + hand-off
+    /// cutovers) this epoch; salts the next replacement's fault stream.
+    incarnations: Vec<u64>,
     transcript: Vec<String>,
 }
 
 impl World {
-    fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile, config: ChaosConfig, seed: u64) -> Self {
+    fn new(
+        spec: Arc<WorkflowSpec>,
+        profile: ChaosProfile,
+        config: ChaosConfig,
+        shards: usize,
+        seed: u64,
+    ) -> Self {
         let opts = WalOptions {
             sync: SyncPolicy::Always,
             snapshot_every: config.snapshot_every,
         };
-        let mem = MemBackend::new();
-        // Storage faults switch on only after the header is written and
-        // synced — Wal::create on a faultless fresh backend cannot fail.
-        let io = IoFaultBackend::new(
-            Box::new(mem.clone()),
-            FaultPlan::perfect(mix(seed, STORAGE_SALT)),
-        );
-        let wal =
-            Wal::create(Box::new(io.clone()), opts).expect("fresh in-memory backend cannot fail");
+        let mems: Vec<MemBackend> = (0..shards).map(|_| MemBackend::new()).collect();
+        let ios: Vec<IoFaultBackend> = mems
+            .iter()
+            .enumerate()
+            .map(|(s, m)| {
+                IoFaultBackend::new(
+                    Box::new(m.clone()),
+                    FaultPlan::perfect(mix(seed, STORAGE_SALT ^ ((s as u64 + 1) << 16))),
+                )
+            })
+            .collect();
+        let wals: Vec<Wal> = ios
+            .iter()
+            .map(|io| {
+                Wal::create(Box::new(io.clone()), opts)
+                    .expect("fresh in-memory backend cannot fail")
+            })
+            .collect();
         let (short, fsync, transient) = profile.storage_rates();
-        io.configure(|p| {
-            p.short_write_p = short;
-            p.fsync_fail_p = fsync;
-            p.transient_p = transient;
-        });
-        let transport = FaultyTransport::new(profile.transport_plan(mix(seed, NET_SALT)));
-        let coordinator = Coordinator::with_parts(
+        for io in &ios {
+            io.configure(|p| {
+                p.short_write_p = short;
+                p.fsync_fail_p = fsync;
+                p.transient_p = transient;
+            });
+        }
+        let transports: Vec<Box<dyn Transport>> = (0..shards)
+            .map(|s| {
+                Box::new(FaultyTransport::new(
+                    profile.transport_plan(mix(seed, NET_SALT ^ ((s as u64 + 1) << 16))),
+                )) as Box<dyn Transport>
+            })
+            .collect();
+        let plane = ShardPlane::with_parts(
             Arc::clone(&spec),
-            Box::new(transport),
-            Some(wal),
-            config.coordinator,
+            transports,
+            Some(wals),
+            ShardPlaneConfig {
+                delivery: config.delivery,
+                ..ShardPlaneConfig::with_shards(shards)
+            },
         );
         let shadow = Run::new(Arc::clone(&spec));
         World {
@@ -324,15 +362,18 @@ impl World {
             profile,
             config,
             seed,
-            coordinator,
-            mem,
-            io,
+            shards,
+            plane,
+            mems,
+            ios,
             opts,
             shadow,
             in_flight: None,
             healed: false,
             epoch: 0,
             restarts: 0,
+            router_crash_keep: 0,
+            incarnations: vec![0; shards],
             transcript: Vec::new(),
         }
     }
@@ -341,11 +382,43 @@ impl World {
         self.transcript.push(line.into());
     }
 
+    /// The fault plan of shard `s`'s *next* transport (failover target or
+    /// hand-off receiver): a fresh stream salted by epoch, shard, and the
+    /// per-shard incarnation counter, healed if the environment has healed.
+    fn next_transport(&mut self, s: ShardId) -> Box<dyn Transport> {
+        self.incarnations[s.index()] += 1;
+        let salt = NET_SALT
+            ^ (self.epoch << 8)
+            ^ ((s.index() as u64 + 1) << 16)
+            ^ (self.incarnations[s.index()] << 32);
+        let mut plan = self.profile.transport_plan(mix(self.seed, salt));
+        if self.healed {
+            plan.heal();
+        }
+        Box::new(FaultyTransport::new(plan))
+    }
+
+    /// Decodes a raw partition-link selector into its (shard, link) pair:
+    /// the link space is `shards × (peers + 1)` — every peer slice of every
+    /// shard plus each shard's standby replication link.
+    fn decode_link(&self, link: u32) -> (ShardId, ShardLink) {
+        let peers = self.spec.collab().peer_count();
+        let idx = link as usize % (self.shards * (peers + 1));
+        let shard = ShardId((idx / (peers + 1)) as u16);
+        let within = idx % (peers + 1);
+        let target = if within < peers {
+            ShardLink::Peer(PeerId(within as u32))
+        } else {
+            ShardLink::Standby
+        };
+        (shard, target)
+    }
+
     fn checkpoint<'a>(&'a self, step: usize, action: &'a Action) -> Checkpoint<'a> {
         Checkpoint {
-            coordinator: &self.coordinator,
+            plane: &self.plane,
             shadow: &self.shadow,
-            backend: &self.mem,
+            backends: &self.mems,
             opts: self.opts,
             in_flight: self.in_flight.as_ref(),
             healed: self.healed,
@@ -359,7 +432,7 @@ impl World {
             Action::Submit { pick } => self.submit(*pick),
             Action::Pump { ticks } => {
                 for _ in 0..*ticks {
-                    self.coordinator.pump();
+                    self.plane.pump();
                 }
                 Ok(())
             }
@@ -368,14 +441,16 @@ impl World {
                 corrupt,
             } => self.crash_restart(*keep_unsynced, *corrupt),
             Action::Resync => {
-                let n = self.coordinator.resync_divergent();
-                self.note(format!("resync: {n} divergent replicas"));
+                let n = self.plane.resync_divergent();
+                self.note(format!("resync: {n} divergent slices"));
                 Ok(())
             }
             Action::Heal => {
                 self.healed = true;
-                self.coordinator.heal();
-                self.io.heal();
+                self.plane.heal();
+                for io in &self.ios {
+                    io.heal();
+                }
                 self.note("heal: all fault injection stopped");
                 Ok(())
             }
@@ -384,54 +459,208 @@ impl World {
             Action::ParCancel => self.par_cancel(),
             Action::DegradeProbe => self.degrade_probe(),
             Action::Partition { link } => {
-                // On a single coordinator the links are exactly the peers.
-                let p = cwf_model::PeerId(link % self.spec.collab().peer_count() as u32);
-                self.coordinator.set_link(p, false);
-                self.note(format!("part: peer {} link down", p.index()));
+                let (s, target) = self.decode_link(*link);
+                self.plane.partition_link(s, target);
+                self.note(format!("part: {s} {target:?} down"));
                 Ok(())
             }
             Action::HealPartition { link } => {
-                let p = cwf_model::PeerId(link % self.spec.collab().peer_count() as u32);
-                self.coordinator.set_link(p, true);
-                self.note(format!("unpart: peer {} link up", p.index()));
+                let (s, target) = self.decode_link(*link);
+                self.plane.heal_link(s, target);
+                self.note(format!("unpart: {s} {target:?} up"));
                 Ok(())
             }
-            // Shard-plane actions are no-ops on the shard-less deployment
-            // (the ShardChaosSim gives them teeth); keeping them tolerated
-            // here lets one trace grammar drive both harnesses.
-            Action::ShardFailover { .. } => {
-                self.note("failover: no shards on a single coordinator");
+            Action::ShardFailover { shard } => {
+                let s = ShardId((*shard as usize % self.shards) as u16);
+                let t = self.next_transport(s);
+                let report = self.plane.failover(s, t);
+                if report.aborted_handoff {
+                    self.note(format!(
+                        "failover: {s} promoted its standby, aborting the in-flight hand-off"
+                    ));
+                } else {
+                    self.note(format!("failover: {s} promoted its standby"));
+                }
                 Ok(())
             }
-            Action::Handoff { .. } => {
-                self.note("handoff: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::CommitStall { .. } => {
-                self.note("cstall: no cross-shard commits on a single coordinator");
+            Action::Handoff { shard } => self.handoff(*shard),
+            Action::CommitStall { shard } => {
+                let s = ShardId((*shard as usize % self.shards) as u16);
+                self.plane.inject_commit_stall(s);
+                self.note(format!("cstall: armed on {s}"));
                 Ok(())
             }
             Action::CommitAbort => {
-                self.note("cabort: no cross-shard commits on a single coordinator");
+                self.plane.inject_commit_abort();
+                self.note("cabort: armed");
                 Ok(())
             }
-            Action::RouterCrash { .. } => {
-                self.note("rcrash: no routing layer on a single coordinator");
+            Action::RouterCrash { keep_unsynced } => {
+                self.plane.inject_router_crash();
+                self.router_crash_keep = *keep_unsynced;
+                self.note("rcrash: armed");
                 Ok(())
             }
-            Action::Split { .. } => {
-                self.note("split: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::Merge { .. } => {
-                self.note("merge: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::Rebalance { .. } => {
-                self.note("rebal: no shards on a single coordinator");
-                Ok(())
+            Action::Split { .. } | Action::Merge { .. } | Action::Rebalance { .. } => {
+                self.reshard(action)
             }
         }
+    }
+
+    /// One step of the elastic-resharding protocol. An in-flight migration
+    /// absorbs any resharding token as a protocol step — copy a bounded
+    /// batch of snapshot facts, cutting over once the copy drains — so a
+    /// trace interleaves begin, copy, and cutover with everything else the
+    /// generator emits. With nothing in flight the token begins its own
+    /// kind of migration (a split provisions a brand-new stream first,
+    /// popped back off if the plane refuses the plan).
+    fn reshard(&mut self, action: &Action) -> Result<(), Violation> {
+        if let Some((kind, src, dst, left)) = self.plane.reshard_in_progress() {
+            if left > 0 {
+                let left = self.plane.step_reshard(4);
+                self.note(format!("{kind}: {src}>{dst} stepped, {left} facts left"));
+                return Ok(());
+            }
+            return match self.plane.finish_reshard() {
+                Ok(true) => {
+                    let epoch = self.plane.map().epoch();
+                    self.note(format!("{kind}: {src}>{dst} cut over at epoch {epoch}"));
+                    Ok(())
+                }
+                Ok(false) => Err(inv("finish_reshard refused an in-progress migration")),
+                Err(CoordinatorError::Degraded) => {
+                    self.note(format!("{kind}: cutover refused while degraded"));
+                    Ok(())
+                }
+                Err(CoordinatorError::Wal(e)) => {
+                    if !self.plane.degraded() {
+                        return Err(inv(format!(
+                            "cutover wal failure did not degrade the plane: {e}"
+                        )));
+                    }
+                    self.note(format!("{kind}: cutover hit wal failure: {e}"));
+                    Ok(())
+                }
+                Err(e) => Err(inv(format!("finish_reshard returned {e}"))),
+            };
+        }
+        let begun = match *action {
+            Action::Split { src } => {
+                let s = ShardId((src as usize % self.shards) as u16);
+                // Provision the new shard's stream, fault decorator, and
+                // transport up front, exactly as `World::new` does for
+                // the initial fleet; popped back off on refusal.
+                let idx = self.shards;
+                let mem = MemBackend::new();
+                let salt = STORAGE_SALT ^ (self.epoch << 8) ^ ((idx as u64 + 1) << 16);
+                let io = IoFaultBackend::new(
+                    Box::new(mem.clone()),
+                    FaultPlan::perfect(mix(self.seed, salt)),
+                );
+                let wal = Wal::create(Box::new(io.clone()), self.opts)
+                    .expect("fresh in-memory backend cannot fail");
+                if !self.healed {
+                    let (short, fsync, transient) = self.profile.storage_rates();
+                    io.configure(|p| {
+                        p.short_write_p = short;
+                        p.fsync_fail_p = fsync;
+                        p.transient_p = transient;
+                    });
+                }
+                self.incarnations.push(0);
+                let t = self.next_transport(ShardId(idx as u16));
+                match self.plane.begin_split(s, t, Some(wal)) {
+                    Ok(true) => {
+                        self.mems.push(mem);
+                        self.ios.push(io);
+                        self.shards = self.plane.shard_count();
+                        self.note(format!(
+                            "split: {s} began onto shard {idx} at epoch {}",
+                            self.plane.map().epoch()
+                        ));
+                        return Ok(());
+                    }
+                    r => {
+                        self.incarnations.pop();
+                        r.map(|_| false)
+                    }
+                }
+            }
+            Action::Merge { src, dst } => {
+                let s = ShardId((src as usize % self.shards) as u16);
+                let d = ShardId((dst as usize % self.shards) as u16);
+                match self.plane.begin_merge(s, d) {
+                    Ok(true) => {
+                        self.note(format!(
+                            "merge: {s}>{d} began at epoch {}",
+                            self.plane.map().epoch()
+                        ));
+                        return Ok(());
+                    }
+                    r => r.map(|_| false),
+                }
+            }
+            Action::Rebalance { src, dst } => {
+                let s = ShardId((src as usize % self.shards) as u16);
+                let d = ShardId((dst as usize % self.shards) as u16);
+                match self.plane.begin_rebalance(s, d) {
+                    Ok(true) => {
+                        self.note(format!(
+                            "rebal: {s}>{d} began at epoch {}",
+                            self.plane.map().epoch()
+                        ));
+                        return Ok(());
+                    }
+                    r => r.map(|_| false),
+                }
+            }
+            _ => unreachable!("reshard only dispatches resharding actions"),
+        };
+        match begun {
+            Ok(_) => {
+                self.note("reshard: plan refused (degenerate endpoints or busy)");
+                Ok(())
+            }
+            Err(CoordinatorError::Degraded) => {
+                self.note("reshard refused: degraded");
+                Ok(())
+            }
+            Err(CoordinatorError::Wal(e)) => {
+                if !self.plane.degraded() {
+                    return Err(inv(format!(
+                        "reshard plan-record failure did not degrade the plane: {e}"
+                    )));
+                }
+                self.note(format!("reshard hit wal failure: {e}"));
+                Ok(())
+            }
+            Err(e) => Err(inv(format!("begin reshard returned {e}"))),
+        }
+    }
+
+    /// One step of the interruptible hand-off protocol: begin on the
+    /// selected shard if nothing is in progress, otherwise transfer a
+    /// bounded batch of oplog records, cutting over once the tail drains.
+    fn handoff(&mut self, shard: u32) -> Result<(), Violation> {
+        match self.plane.handoff_in_progress() {
+            None => {
+                let s = ShardId((shard as usize % self.shards) as u16);
+                self.plane.begin_handoff(s);
+                self.note(format!("handoff: {s} snapshot taken"));
+            }
+            Some((s, 0)) => {
+                let t = self.next_transport(s);
+                if !self.plane.finish_handoff(t) {
+                    return Err(inv("finish_handoff refused an in-progress hand-off"));
+                }
+                self.note(format!("handoff: {s} cut over"));
+            }
+            Some((s, _)) => {
+                let left = self.plane.step_handoff(2);
+                self.note(format!("handoff: {s} stepped, {left} records left"));
+            }
+        }
+        Ok(())
     }
 
     /// Does firing this candidate modify an existing tuple? True when some
@@ -444,13 +673,13 @@ impl World {
             cwf_lang::UpdateAtom::Insert { rel, args } => cand
                 .bindings
                 .resolve(&args[0])
-                .is_some_and(|k| self.coordinator.run().current().rel(*rel).get(&k).is_some()),
+                .is_some_and(|k| self.plane.run().current().rel(*rel).get(&k).is_some()),
             cwf_lang::UpdateAtom::Delete { .. } => false,
         })
     }
 
     fn submit(&mut self, pick: u32) -> Result<(), Violation> {
-        let cands = candidates(self.coordinator.run());
+        let cands = candidates(self.plane.run());
         if cands.is_empty() {
             self.note("submit: no candidates");
             return Ok(());
@@ -458,34 +687,43 @@ impl World {
         // The modification-heavy profile steers picks toward candidates
         // that null-fill existing tuples, exercising the modified-tuple
         // path of the view plane; other profiles pick uniformly.
-        let cand = if self.profile == ChaosProfile::ModificationHeavy {
-            let mods: Vec<&Candidate> =
-                cands.iter().filter(|c| self.modifies_existing(c)).collect();
-            if mods.is_empty() {
-                &cands[pick as usize % cands.len()]
-            } else {
-                mods[pick as usize % mods.len()]
-            }
+        let mods: Vec<&Candidate> = if self.profile == ChaosProfile::ModificationHeavy {
+            cands.iter().filter(|c| self.modifies_existing(c)).collect()
         } else {
-            &cands[pick as usize % cands.len()]
+            Vec::new()
         };
-        // Complete head-only variables with coordinator-fresh values on a
-        // scratch clone (the real run advances only through submit).
-        let mut scratch = self.coordinator.run().clone();
+        let cand = if mods.is_empty() {
+            &cands[pick as usize % cands.len()]
+        } else {
+            mods[pick as usize % mods.len()]
+        };
+        // Complete head-only variables with plane-fresh values on a scratch
+        // clone (the real run advances only through submit).
+        let mut scratch = self.plane.run().clone();
         let event = complete(&mut scratch, cand);
-        let was_degraded = self.coordinator.degraded();
-        match self.coordinator.submit(event.clone()) {
+        let was_degraded = self.plane.degraded();
+        match self.plane.submit(event.clone()) {
             Ok(b) => {
-                let line = format!("submit ok: {b:?}");
+                let line = format!(
+                    "submit ok: at={} home={} stamps={}",
+                    b.at,
+                    b.home,
+                    b.stamps
+                        .iter()
+                        .map(|(s, t)| format!("{s}:{t}"))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                );
                 if was_degraded {
-                    return Err(("degraded-safety".into(), {
-                        "degraded coordinator accepted a mutation".into()
-                    }));
+                    return Err((
+                        "degraded-safety".into(),
+                        "degraded plane accepted a mutation".into(),
+                    ));
                 }
                 self.note(line);
                 if let Err(e) = self.shadow.push(event) {
                     return Err((
-                        "shadow-equivalence".into(),
+                        "shard-state-union".into(),
                         format!("accepted event does not extend the accepted history: {e}"),
                     ));
                 }
@@ -493,7 +731,7 @@ impl World {
             }
             Err(CoordinatorError::Degraded) => {
                 if !was_degraded {
-                    return Err(inv("armed coordinator rejected a submit as Degraded"));
+                    return Err(inv("armed plane rejected a submit as Degraded"));
                 }
                 self.note("submit rejected: degraded");
                 Ok(())
@@ -503,20 +741,30 @@ impl World {
                 Ok(())
             }
             Err(CoordinatorError::Wal(e)) => {
-                if !self.coordinator.degraded() {
-                    return Err(inv(format!(
-                        "wal failure did not degrade the coordinator: {e}"
-                    )));
+                if !self.plane.degraded() {
+                    return Err(inv(format!("wal failure did not degrade the plane: {e}")));
                 }
-                // Rolled back out of memory; its bytes may or may not be on
-                // disk until a rearm truncates or a restart decides.
                 self.in_flight = Some(event);
                 self.note(format!("submit hit wal failure: {e}"));
                 Ok(())
             }
-            Err(e @ (CoordinatorError::CommitAborted | CoordinatorError::InDoubt)) => Err(inv(
-                format!("single coordinator returned a cross-shard outcome: {e}"),
-            )),
+            Err(CoordinatorError::CommitAborted) => {
+                if self.plane.degraded() {
+                    return Err(inv("a clean commit abort degraded the plane"));
+                }
+                self.note("submit aborted by the commit protocol (post-prepare timeout)");
+                Ok(())
+            }
+            Err(CoordinatorError::InDoubt) => {
+                if self.plane.degraded() {
+                    return Err(inv("an in-doubt commit degraded the live plane"));
+                }
+                self.note("submit in doubt: router died after prepare; forcing a restart");
+                // The router process is gone: crash the plane at exactly the
+                // in-doubt point, so recovery must presume the orphaned
+                // prepares aborted.
+                self.crash_restart(self.router_crash_keep, None)
+            }
         }
     }
 
@@ -525,48 +773,69 @@ impl World {
         keep_unsynced: u32,
         corrupt: Option<(u32, u8)>,
     ) -> Result<(), Violation> {
-        // The process dies: in-flight transport messages die with it; only
-        // the synced disk prefix plus at most `keep_unsynced` bytes remain.
-        let synced = self.mem.synced_len();
-        let survivor = self.mem.survivor(keep_unsynced as usize);
-        if let Some((off, xor)) = corrupt {
-            // Corrupt only the *unsynced* region of what survived: synced
-            // bytes are durable by the backend contract, and keeping the
-            // durable prefix intact is what guarantees CRC-breaking
-            // corruption truncates instead of tripping tamper detection.
-            let total = survivor.bytes().len();
-            if total > synced {
-                let tail = total - synced;
-                survivor.corrupt_byte(synced + (off as usize % tail), xor);
+        // The whole plane process dies: shard states, oplogs, standbys, and
+        // in-flight traffic are gone; only the per-shard streams decide.
+        // Every stream keeps its synced prefix plus at most `keep_unsynced`
+        // unsynced bytes; the optional corruption picks one shard's kept
+        // unsynced tail by the selector's low bits.
+        let mut survivors: Vec<MemBackend> = Vec::with_capacity(self.shards);
+        for (s, mem) in self.mems.iter().enumerate() {
+            let synced = mem.synced_len();
+            let survivor = mem.survivor(keep_unsynced as usize);
+            if let Some((off, xor)) = corrupt {
+                if s == off as usize % self.shards {
+                    let total = survivor.bytes().len();
+                    if total > synced {
+                        let tail = total - synced;
+                        survivor.corrupt_byte(synced + ((off as usize / self.shards) % tail), xor);
+                    }
+                }
             }
+            survivors.push(survivor);
         }
         self.epoch += 1;
         self.restarts += 1;
-        let io = IoFaultBackend::new(
-            Box::new(survivor.clone()),
-            FaultPlan::perfect(mix(self.seed, STORAGE_SALT ^ (self.epoch << 8))),
-        );
-        let mut net = self
-            .profile
-            .transport_plan(mix(self.seed, NET_SALT ^ (self.epoch << 8)));
-        if self.healed {
-            net.heal();
-        }
+        self.incarnations = vec![0; self.shards];
+        let ios: Vec<IoFaultBackend> = survivors
+            .iter()
+            .enumerate()
+            .map(|(s, m)| {
+                let salt = STORAGE_SALT ^ (self.epoch << 8) ^ ((s as u64 + 1) << 16);
+                IoFaultBackend::new(
+                    Box::new(m.clone()),
+                    FaultPlan::perfect(mix(self.seed, salt)),
+                )
+            })
+            .collect();
+        let transports: Vec<Box<dyn Transport>> = (0..self.shards)
+            .map(|s| {
+                let salt = NET_SALT ^ (self.epoch << 8) ^ ((s as u64 + 1) << 16);
+                let mut net = self.profile.transport_plan(mix(self.seed, salt));
+                if self.healed {
+                    net.heal();
+                }
+                Box::new(FaultyTransport::new(net)) as Box<dyn Transport>
+            })
+            .collect();
         let accepted = self.shadow.len() as u64;
-        let (coordinator, report) = Coordinator::recover(
+        let (plane, report) = ShardPlane::recover(
             Arc::clone(&self.spec),
-            Box::new(io.clone()),
+            ios.iter()
+                .map(|io| Box::new(io.clone()) as Box<dyn WalBackend>)
+                .collect(),
             self.opts,
-            Box::new(FaultyTransport::new(net)),
-            self.config.coordinator,
+            transports,
+            ShardPlaneConfig {
+                delivery: self.config.delivery,
+                ..ShardPlaneConfig::with_shards(self.shards)
+            },
         )
         .map_err(|e| {
             (
-                "wal-replay".to_string(),
-                format!("recovery refused the surviving log: {e}"),
+                "shard-wal-replay".to_string(),
+                format!("quorum recovery refused the surviving streams: {e}"),
             )
         })?;
-        // Reconcile the durable verdict on the in-flight event.
         if report.last_seq == accepted + 1 {
             let Some(ev) = self.in_flight.take() else {
                 return Err((
@@ -576,12 +845,12 @@ impl World {
             };
             self.shadow.push(ev).map_err(|e| {
                 (
-                    "shadow-equivalence".to_string(),
+                    "shard-state-union".to_string(),
                     format!("promoted in-flight event does not extend the history: {e}"),
                 )
             })?;
         } else if report.last_seq == accepted {
-            self.in_flight = None; // its bytes did not survive
+            self.in_flight = None;
         } else {
             return Err((
                 "no-lost-acked".into(),
@@ -591,16 +860,18 @@ impl World {
                 ),
             ));
         }
-        self.coordinator = coordinator;
-        self.mem = survivor;
-        self.io = io;
+        self.plane = plane;
+        self.mems = survivors;
+        self.ios = ios;
         if !self.healed {
             let (short, fsync, transient) = self.profile.storage_rates();
-            self.io.configure(|p| {
-                p.short_write_p = short;
-                p.fsync_fail_p = fsync;
-                p.transient_p = transient;
-            });
+            for io in &self.ios {
+                io.configure(|p| {
+                    p.short_write_p = short;
+                    p.fsync_fail_p = fsync;
+                    p.transient_p = transient;
+                });
+            }
         }
         self.note(format!(
             "crash-restart #{}: last_seq={} replayed={} snapshot={:?} truncated={}B",
@@ -614,11 +885,10 @@ impl World {
     }
 
     fn rearm(&mut self) -> Result<(), Violation> {
-        let was_degraded = self.coordinator.degraded();
-        match self.coordinator.rearm() {
+        let was_degraded = self.plane.degraded();
+        match self.plane.rearm() {
             Ok(()) => {
                 if was_degraded {
-                    // The truncation dropped any in-flight bytes for good.
                     self.in_flight = None;
                     self.note("rearm: left degraded mode");
                 } else {
@@ -640,7 +910,7 @@ impl World {
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::unlimited().cancelled_by(token);
-        match governed_wellformed(self.coordinator.run(), &gov) {
+        match governed_wellformed(self.plane.run(), &gov) {
             Verdict::Exhausted(Reason::Cancelled) => {
                 self.note("cancel: governed analysis stopped before any work");
                 Ok(())
@@ -652,17 +922,13 @@ impl World {
         }
     }
 
-    /// The parallel-analysis probe (see [`Action::ParCancel`]): cancellation
-    /// preempts a pooled analysis, and pool size never leaks into results.
     fn par_cancel(&mut self) -> Result<(), Violation> {
         let wide = Pool::with_threads(4);
         let one = Pool::sequential();
-        // Pre-cancelled: the multi-worker audit must stop at the entry
-        // check, before any worker is spawned.
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::unlimited().cancelled_by(token);
-        match governed_view_audit(self.coordinator.run(), &gov, &wide) {
+        match governed_view_audit(self.plane.run(), &gov, &wide) {
             Verdict::Exhausted(Reason::Cancelled) => {}
             v => {
                 return Err(inv(format!(
@@ -671,10 +937,8 @@ impl World {
                 )))
             }
         }
-        // Differential: the 4-worker audit verdict is byte-identical to the
-        // single-worker oracle, and the plane itself is clean.
-        let par = governed_view_audit(self.coordinator.run(), &Governor::unlimited(), &wide);
-        let seq = governed_view_audit(self.coordinator.run(), &Governor::unlimited(), &one);
+        let par = governed_view_audit(self.plane.run(), &Governor::unlimited(), &wide);
+        let seq = governed_view_audit(self.plane.run(), &Governor::unlimited(), &one);
         if par != seq {
             return Err(inv(format!(
                 "parallel view audit diverged from sequential: {par:?} vs {seq:?}"
@@ -683,9 +947,6 @@ impl World {
         if let Verdict::Done(Err(msg)) = &par {
             return Err(inv(format!("view audit found a divergence: {msg}")));
         }
-        // Differential on the satisfiability solver: a fixed 12-atom
-        // condition (above the solver's parallel threshold) must decide
-        // identically across pool sizes.
         let cond = par_probe_condition();
         let psat = satisfiable_within_pooled(&cond, &Governor::unlimited(), &wide);
         let ssat = satisfiable_within_pooled(&cond, &Governor::unlimited(), &one);
@@ -700,21 +961,20 @@ impl World {
     }
 
     fn degrade_probe(&mut self) -> Result<(), Violation> {
-        if !self.coordinator.degraded() {
+        if !self.plane.degraded() {
             self.note("probe: not degraded");
             return Ok(());
         }
-        let before_len = self.coordinator.run().len();
+        let before_len = self.plane.run().len();
         let collab = self.spec.collab();
         let replicas: Vec<MaterializedView> = collab
             .peer_ids()
-            .map(|p| self.coordinator.replica(p).clone())
+            .map(|p| self.plane.union_replica(p))
             .collect();
-        // Build a mutation to fire into the degraded coordinator.
-        let cands = candidates(self.coordinator.run());
+        let cands = candidates(self.plane.run());
         let event = match cands.first() {
             Some(cand) => {
-                let mut scratch = self.coordinator.run().clone();
+                let mut scratch = self.plane.run().clone();
                 complete(&mut scratch, cand)
             }
             None => match self.in_flight.clone() {
@@ -725,7 +985,7 @@ impl World {
                 }
             },
         };
-        match self.coordinator.submit(event) {
+        match self.plane.submit(event) {
             Err(CoordinatorError::Degraded) => {}
             Ok(_) => {
                 return Err((
@@ -740,18 +1000,18 @@ impl World {
                 ));
             }
         }
-        if self.coordinator.run().len() != before_len {
+        if self.plane.run().len() != before_len {
             return Err((
                 "degraded-safety".into(),
                 "run length changed during a degraded probe".into(),
             ));
         }
         for (p, before) in collab.peer_ids().zip(&replicas) {
-            if self.coordinator.replica(p) != before {
+            if !self.plane.union_replica(p).same_facts(before) {
                 return Err((
                     "degraded-safety".into(),
                     format!(
-                        "replica of peer {} changed during a degraded probe",
+                        "replica union of peer {} changed during a degraded probe",
                         collab.peer_name(p)
                     ),
                 ));
@@ -761,54 +1021,97 @@ impl World {
         Ok(())
     }
 
-    /// The post-heal convergence oracle: once the environment has healed,
-    /// the system must re-arm, settle within the pump budget, and pass a
-    /// strict audit.
+    /// The cross-shard convergence oracle's closing half: after heal the
+    /// plane must finish any hand-off, re-arm, settle within the pump
+    /// budget, and then the union of shard states must equal the
+    /// shadow instance byte for byte, with every peer's slice
+    /// union equal to its from-scratch `view_of` reference.
     fn final_check(&mut self) -> Result<u64, Violation> {
-        const NAME: &str = "post-heal-convergence";
+        const NAME: &str = "cross-shard-convergence";
         if !self.healed {
             return Ok(0);
         }
-        let was_degraded = self.coordinator.degraded();
-        if let Err(e) = self.coordinator.rearm() {
+        if let Some((s, _)) = self.plane.handoff_in_progress() {
+            let t = self.next_transport(s);
+            self.plane.finish_handoff(t);
+            self.note(format!("handoff: {s} completed at trace end"));
+        }
+        let was_degraded = self.plane.degraded();
+        if let Err(e) = self.plane.rearm() {
             return Err((NAME.into(), format!("rearm failed after heal: {e}")));
         }
         if was_degraded {
             self.in_flight = None;
         }
-        match self.coordinator.converge(self.config.converge_budget) {
-            Convergence::Converged { ticks } => {
-                self.note(format!("converged after {ticks} ticks"));
-                Ok(ticks)
+        // A migration still in flight at trace end must be drivable to its
+        // cutover now that the environment is healed and the plane armed.
+        if let Some((kind, s, d, _)) = self.plane.reshard_in_progress() {
+            match self.plane.finish_reshard() {
+                Ok(true) => self.note(format!("{kind}: {s}>{d} completed at trace end")),
+                r => {
+                    return Err((
+                        NAME.into(),
+                        format!("in-flight migration failed to complete after heal: {r:?}"),
+                    ));
+                }
             }
-            s @ Convergence::Stalled { .. } => Err((
-                NAME.into(),
-                format!(
-                    "system failed to settle within {} ticks: {s}",
-                    self.config.converge_budget
-                ),
-            )),
         }
+        let ticks = match self.plane.converge(self.config.converge_budget) {
+            ShardConvergence::Converged { ticks } => ticks,
+            s @ ShardConvergence::Stalled { .. } => {
+                return Err((
+                    NAME.into(),
+                    format!(
+                        "plane failed to settle within {} ticks: {s}",
+                        self.config.converge_budget
+                    ),
+                ));
+            }
+        };
+        if !self.plane.state_matches(self.shadow.current()) {
+            return Err((
+                NAME.into(),
+                "converged union of shard states differs from the shadow".into(),
+            ));
+        }
+        let collab = self.spec.collab();
+        for p in collab.peer_ids() {
+            let union = self.plane.union_replica(p);
+            if !union.matches(&collab.view_of(self.shadow.current(), p)) {
+                return Err((
+                    NAME.into(),
+                    format!(
+                        "converged replica union of peer {} differs from view_of the shadow",
+                        collab.peer_name(p)
+                    ),
+                ));
+            }
+        }
+        self.note(format!("converged after {ticks} ticks"));
+        Ok(ticks)
     }
 }
 
-/// The chaos harness: a spec, a fault profile, tuning knobs, and the
-/// oracle battery. One sim is reusable across seeds; each
-/// [`run_trace`](ChaosSim::run_trace) builds a fresh universe.
-pub struct ChaosSim {
+/// The chaos harness: a spec, a fault profile, a shard count, tuning
+/// knobs, and the oracle battery. One sim is reusable across seeds; each
+/// [`run_trace`](ShardChaosSim::run_trace) builds a fresh universe.
+pub struct ShardChaosSim {
     spec: Arc<WorkflowSpec>,
     profile: ChaosProfile,
+    shards: usize,
     config: ChaosConfig,
     #[allow(clippy::type_complexity)]
     extra: Vec<Box<dyn Fn() -> Box<dyn Oracle> + Send + Sync>>,
 }
 
-impl ChaosSim {
-    /// A sim over `spec` with the given fault profile and default knobs.
-    pub fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile) -> Self {
-        ChaosSim {
+impl ShardChaosSim {
+    /// A sim over `spec` with `shards` shards and the given fault profile.
+    pub fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile, shards: usize) -> Self {
+        assert!(shards >= 1, "a plane needs at least one shard");
+        ShardChaosSim {
             spec,
             profile,
+            shards,
             config: ChaosConfig::default(),
             extra: Vec::new(),
         }
@@ -835,18 +1138,120 @@ impl ChaosSim {
         self.profile
     }
 
-    /// Generates the action trace of `seed`: `steps` weighted actions, then
-    /// the closing `heal rearm pump` suffix so every seed exercises the
-    /// post-heal convergence oracle.
+    /// The shard count of the deployment under test.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Generates the action trace of `seed` (see [`generate_trace`]).
     pub fn generate(&self, seed: u64, steps: usize) -> Vec<Action> {
         generate_trace(self.profile, seed, steps)
     }
+
+    /// Executes `trace` deterministically from `seed` against a fresh
+    /// universe, running the oracle battery after every action and the
+    /// cross-shard convergence check at the end. The failure, if any,
+    /// carries the *unminimized* trace; see
+    /// [`check_seed`](ShardChaosSim::check_seed) for the shrinking entry
+    /// point.
+    pub fn run_trace(&self, seed: u64, trace: &[Action]) -> Result<TraceReport, ChaosFailure> {
+        let fail = |step: usize, (oracle, detail): Violation| ChaosFailure {
+            seed,
+            profile: self.profile,
+            oracle,
+            detail,
+            step,
+            trace: trace.to_vec(),
+            minimized: None,
+        };
+        let mut world = World::new(
+            Arc::clone(&self.spec),
+            self.profile,
+            self.config,
+            self.shards,
+            seed,
+        );
+        let mut oracles: Vec<Box<dyn Oracle>> = default_oracles();
+        for factory in &self.extra {
+            oracles.push(factory());
+        }
+        for (step, action) in trace.iter().enumerate() {
+            world.apply(action).map_err(|v| fail(step, v))?;
+            let cp = world.checkpoint(step, action);
+            for oracle in oracles.iter_mut() {
+                if let Err(detail) = oracle.check(&cp) {
+                    let oracle = oracle.name().to_string();
+                    return Err(fail(step, (oracle, detail)));
+                }
+            }
+        }
+        let converge_ticks = world
+            .final_check()
+            .map_err(|v| fail(trace.len().saturating_sub(1), v))?;
+        let mut transcript = world.transcript;
+        let ft = world.plane.ft_stats().clone();
+        let ps = *world.plane.plane_stats();
+        transcript.push(format!("final ft: {ft:?}"));
+        transcript.push(format!("final plane: {ps:?}"));
+        Ok(TraceReport {
+            events: world.shadow.len(),
+            modified_tuples: (0..world.shadow.len())
+                .map(|i| world.shadow.diff(i).modified.len())
+                .sum(),
+            restarts: world.restarts,
+            converge_ticks,
+            ft,
+            transcript,
+        })
+    }
+
+    /// Delta-debugs a failing trace, re-executing from `seed`; returns the
+    /// minimized trace and its failure. Any oracle failure keeps a
+    /// candidate (a shrunk trace may trip a different oracle).
+    pub fn minimize(&self, seed: u64, trace: &[Action]) -> (Vec<Action>, Option<ChaosFailure>) {
+        let minimized = ddmin(
+            trace,
+            |cand| self.run_trace(seed, cand).is_err(),
+            self.config.shrink_budget,
+        );
+        let failure = self.run_trace(seed, &minimized).err();
+        (minimized, failure)
+    }
+
+    /// The top-level per-seed entry point: generate, execute, and on
+    /// failure shrink to a minimal repro (the returned failure carries both
+    /// the full and the minimized trace).
+    pub fn check_seed(&self, seed: u64, steps: usize) -> Result<TraceReport, ChaosFailure> {
+        let trace = self.generate(seed, steps);
+        match self.run_trace(seed, &trace) {
+            Ok(report) => Ok(report),
+            Err(original) => {
+                let (minimized, refailure) = self.minimize(seed, &trace);
+                // Report the minimized trace's own violation when it
+                // (deterministically) reproduces; fall back to the original.
+                let mut failure = refailure.unwrap_or(original);
+                failure.trace = trace;
+                failure.minimized = Some(minimized);
+                Err(failure)
+            }
+        }
+    }
 }
 
-/// Generates the `seed`-determined action trace of a profile (shared by the
-/// single-coordinator [`ChaosSim`] and the sharded
-/// [`ShardChaosSim`](crate::chaos::shard_sim::ShardChaosSim), so the two
-/// harnesses speak the same grammar).
+impl fmt::Debug for ShardChaosSim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "ShardChaosSim[{} shards, profile={}]",
+            self.shards,
+            self.profile.name()
+        )
+    }
+}
+
+/// Generates the `seed`-determined action trace of a profile: `steps`
+/// weighted actions, then the closing `heal rearm pump` suffix so every
+/// seed exercises the post-heal convergence oracle.
 pub fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Action> {
     let mut rng = StdRng::seed_from_u64(mix(seed, GEN_SALT));
     let weights = profile.weights();
@@ -918,85 +1323,4 @@ pub fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Act
     out.push(Action::Rearm);
     out.push(Action::Pump { ticks: 4 });
     out
-}
-
-impl ChaosSim {
-    /// Executes `trace` deterministically from `seed`, running the oracle
-    /// battery after every action and the post-heal convergence check at
-    /// the end. The failure, if any, carries the *unminimized* trace; see
-    /// [`check_seed`](ChaosSim::check_seed) for the shrinking entry point.
-    pub fn run_trace(&self, seed: u64, trace: &[Action]) -> Result<TraceReport, ChaosFailure> {
-        let fail = |step: usize, (oracle, detail): Violation| ChaosFailure {
-            seed,
-            profile: self.profile,
-            oracle,
-            detail,
-            step,
-            trace: trace.to_vec(),
-            minimized: None,
-        };
-        let mut world = World::new(Arc::clone(&self.spec), self.profile, self.config, seed);
-        let mut oracles = default_oracles();
-        for factory in &self.extra {
-            oracles.push(factory());
-        }
-        for (step, action) in trace.iter().enumerate() {
-            world.apply(action).map_err(|v| fail(step, v))?;
-            let cp = world.checkpoint(step, action);
-            for oracle in oracles.iter_mut() {
-                if let Err(detail) = oracle.check(&cp) {
-                    let oracle = oracle.name().to_string();
-                    return Err(fail(step, (oracle, detail)));
-                }
-            }
-        }
-        let converge_ticks = world
-            .final_check()
-            .map_err(|v| fail(trace.len().saturating_sub(1), v))?;
-        let mut transcript = world.transcript;
-        let ft = world.coordinator.ft_stats().clone();
-        transcript.push(format!("final ft: {ft:?}"));
-        Ok(TraceReport {
-            events: world.shadow.len(),
-            modified_tuples: (0..world.shadow.len())
-                .map(|i| world.shadow.diff(i).modified.len())
-                .sum(),
-            restarts: world.restarts,
-            converge_ticks,
-            ft,
-            transcript,
-        })
-    }
-
-    /// Delta-debugs a failing trace, re-executing from `seed`; returns the
-    /// minimized trace and its failure. Any oracle failure keeps a
-    /// candidate (a shrunk trace may trip a different oracle).
-    pub fn minimize(&self, seed: u64, trace: &[Action]) -> (Vec<Action>, Option<ChaosFailure>) {
-        let minimized = ddmin(
-            trace,
-            |cand| self.run_trace(seed, cand).is_err(),
-            self.config.shrink_budget,
-        );
-        let failure = self.run_trace(seed, &minimized).err();
-        (minimized, failure)
-    }
-
-    /// The top-level per-seed entry point: generate, execute, and on
-    /// failure shrink to a minimal repro (the returned failure carries both
-    /// the full and the minimized trace).
-    pub fn check_seed(&self, seed: u64, steps: usize) -> Result<TraceReport, ChaosFailure> {
-        let trace = self.generate(seed, steps);
-        match self.run_trace(seed, &trace) {
-            Ok(report) => Ok(report),
-            Err(original) => {
-                let (minimized, refailure) = self.minimize(seed, &trace);
-                // Report the minimized trace's own violation when it
-                // (deterministically) reproduces; fall back to the original.
-                let mut failure = refailure.unwrap_or(original);
-                failure.trace = trace;
-                failure.minimized = Some(minimized);
-                Err(failure)
-            }
-        }
-    }
 }

@@ -1,10 +1,10 @@
-//! Deterministic fault injection for coordinator deployments.
+//! Deterministic fault injection for plane deployments.
 //!
 //! A [`FaultPlan`] is a seeded-RNG schedule of delivery faults (drops,
 //! duplicates, reorders, delays), **storage faults** (short writes, fsync
 //! failures, transient EINTR-style errors, disk-full), **link-level
 //! partitions** (a per-peer cut that blocks a link entirely until healed),
-//! coordinator crash-points mid-append, and log-byte corruption. The same
+//! process crash-points mid-append, and log-byte corruption. The same
 //! seed always yields the same schedule, so property tests can shrink and
 //! replay failures exactly. Thread it through a
 //! [`FaultyTransport`](crate::transport::FaultyTransport) for delivery

@@ -8,21 +8,22 @@
 //! subrun primitive), peer views of runs `ρ@p`, and a random simulator.
 //!
 //! The deployment layer makes the master-server sketch of the paper's
-//! Conclusion fault tolerant: a checksummed write-ahead log with snapshot
-//! recovery ([`wal`]), unreliable delivery with acknowledgement, retry, and
-//! snapshot resync ([`coordinator`], [`transport`], [`delivery`]), a
-//! sharded, replicated state plane with HLC-stamped oplogs, snapshot
-//! hand-off, and failover ([`shard`]), and deterministic fault injection —
-//! including link-level partitions — for testing it all ([`fault`]) —
-//! stress-tested end to end by a seeded chaos harness with invariant
-//! oracles and trace minimization ([`chaos`]).
+//! Conclusion fault tolerant. There is one deployment type, the
+//! [`ShardPlane`]: with one shard it is the single master server, with N it
+//! is a sharded, replicated state plane with HLC-stamped oplogs, snapshot
+//! hand-off, and failover ([`shard`]). Around it sit a checksummed
+//! write-ahead log with snapshot recovery ([`wal`]), unreliable delivery
+//! with acknowledgement, retry, and snapshot resync ([`transport`],
+//! [`delivery`]), and deterministic fault injection — including link-level
+//! partitions — for testing it all ([`fault`]) — stress-tested end to end
+//! by a seeded chaos harness with invariant oracles and trace minimization
+//! ([`chaos`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod codec;
-pub mod coordinator;
 pub mod delivery;
 pub mod error;
 pub mod eval;
@@ -41,10 +42,7 @@ pub mod view_plane;
 pub mod wal;
 
 pub use codec::{decode_event, decode_events, encode_event, encode_run, load_run, CodecError};
-pub use coordinator::{
-    Broadcast, Convergence, Coordinator, CoordinatorConfig, MaterializedView, ViewDelta,
-};
-pub use delivery::{Delivery, DeliveryConfig};
+pub use delivery::{Delivery, DeliveryConfig, MaterializedView};
 pub use error::{CoordinatorError, EngineError, WalError};
 pub use eval::{check_body, match_body, Bindings};
 pub use event::{Event, GroundUpdate};
@@ -63,7 +61,7 @@ pub use transition::{
     apply_event, apply_event_with_view, apply_updates, event_visible, view_of, Applied,
 };
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
-pub use view_plane::{materialize_view, peer_delta, ViewPlane};
+pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 pub use wal::{
     FileBackend, IoFaultBackend, IoFaults, MemBackend, Recovered, RecoveryReport, SyncPolicy, Wal,
     WalBackend, WalOptions,

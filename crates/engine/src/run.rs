@@ -40,7 +40,7 @@ pub struct Run {
     /// [`Run::current`].
     plane: ViewPlane,
     /// The non-empty per-peer view deltas of the most recent push — what a
-    /// coordinator broadcasts. Cleared by [`Run::pop`].
+    /// plane broadcasts. Cleared by [`Run::pop`].
     last_deltas: Vec<(PeerId, ViewDelta)>,
     /// `const(P) ∪ adom(initial) ∪ ⋃_{j<len} adom(I_j)` — the values a fresh
     /// instantiation must avoid. Maintained incrementally from the diffs:

@@ -1,9 +1,10 @@
 //! The sharded, replicated state plane.
 //!
 //! The paper's model is inherently distributed — peers hold partial views
-//! of one global keyed instance — yet the [`Coordinator`] is a single
-//! process holding the whole instance. This module splits it into
-//! **shard-local apply plus a thin routing layer**:
+//! of one global keyed instance — and its Conclusion sketches a master
+//! server holding the whole instance. This module is that server, split
+//! into **shard-local apply plus a thin routing layer** (one shard is the
+//! single master server):
 //!
 //! * a [`ShardMap`] deterministically assigns every key to one of N shards
 //!   (FNV-1a over a canonical encoding of the key value);
@@ -16,8 +17,7 @@
 //! * each shard applies its ops to its own state partition, appends them to
 //!   an append-only [`Oplog`] stamped with [hybrid logical clock](Hlc)
 //!   timestamps, feeds a warm **standby replica**, and drives its slice of
-//!   every peer's replica through its own [`Delivery`] plane — the exact
-//!   machinery the single coordinator uses, unchanged.
+//!   every peer's replica through its own [`Delivery`] plane.
 //!
 //! Robustness is the point, not an afterthought: shards **fail over** to
 //! their standby (promotion + oplog tail replay + peer resync), **hand
@@ -29,10 +29,9 @@
 //! cross-shard commits are resolved from prepare/commit records (presumed
 //! abort), and the serializable global order is rebuilt from the HLC
 //! stamps. The chaos battery asserts that after heal + pump-to-quiescence
-//! the union of shard states equals a single-shard shadow run byte for
-//! byte, and that HLC order is consistent with causal delivery.
+//! the union of shard states equals the shadow run byte for byte, and
+//! that HLC order is consistent with causal delivery.
 //!
-//! [`Coordinator`]: crate::coordinator::Coordinator
 //! [`Delivery`]: crate::delivery::Delivery
 
 use std::fmt;
@@ -50,7 +49,7 @@ pub use plane::{
     ShardPlaneConfig, ShardPlaneStats,
 };
 
-/// Identifies one coordinator shard (dense, from 0).
+/// Identifies one shard of the plane (dense, from 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u16);
 

@@ -1,6 +1,7 @@
-//! The [`ShardPlane`]: N coordinator shards behind a thin routing layer,
-//! with **distributed admission** — per-shard write-ahead logs and a
-//! cross-shard commit protocol.
+//! The [`ShardPlane`]: N shards behind a thin routing layer, with
+//! **distributed admission** — per-shard write-ahead logs and a
+//! cross-shard commit protocol. With one shard it is the single master
+//! server of the paper's Conclusion.
 //!
 //! **Routing layer.** Event *validation* (body match, key chase,
 //! freshness) stays global: it needs the whole keyed instance, so the
@@ -37,9 +38,8 @@
 //!
 //! **Shard-local apply.** Each shard owns its partition of the state, an
 //! HLC-stamped append-only [`Oplog`], a warm standby replica consuming the
-//! oplog tail, and a [`Delivery`] plane (the coordinator's own outbox/ack
-//! machinery, reused verbatim) pushing its slice of every peer's view over
-//! its own transport. A peer's full replica is the union of its per-shard
+//! oplog tail, and a [`Delivery`] plane (the outbox/ack machinery)
+//! pushing its slice of every peer's view over its own transport. A peer's full replica is the union of its per-shard
 //! slices; key spaces are disjoint by construction, so the union is a
 //! plain merge.
 //!
@@ -62,8 +62,6 @@
 //! (stalled participant commits, injected aborts, router death between
 //! prepare and commit) are injectable for the chaos harness via
 //! [`ShardPlane::inject_commit_stall`] and friends.
-//!
-//! [`Coordinator`]: crate::coordinator::Coordinator
 
 use std::fmt;
 use std::sync::Arc;
@@ -71,8 +69,7 @@ use std::sync::Arc;
 use cwf_model::{Instance, PeerId, RelId, Tuple, ViewInstance};
 
 use crate::codec::{decode_event, encode_event};
-use crate::coordinator::{CoordinatorConfig, MaterializedView};
-use crate::delivery::Delivery;
+use crate::delivery::{Delivery, DeliveryConfig, MaterializedView};
 use crate::error::{CoordinatorError, WalError};
 use crate::event::Event;
 use crate::run::Run;
@@ -97,9 +94,11 @@ const ROUTER_STREAM: ShardId = ShardId(0);
 pub struct ShardPlaneConfig {
     /// Number of shards (≥ 1).
     pub shards: usize,
-    /// The per-shard delivery and WAL knobs (shared with the single
-    /// coordinator so shards=1 behaves identically).
-    pub coordinator: CoordinatorConfig,
+    /// The delivery protocol of every shard.
+    pub delivery: DeliveryConfig,
+    /// In-place retries of a transiently failing WAL append (EINTR-style)
+    /// before the operation degrades the plane.
+    pub wal_transient_retries: u32,
 }
 
 impl ShardPlaneConfig {
@@ -107,7 +106,8 @@ impl ShardPlaneConfig {
     pub fn with_shards(shards: usize) -> Self {
         ShardPlaneConfig {
             shards,
-            coordinator: CoordinatorConfig::default(),
+            delivery: DeliveryConfig::default(),
+            wal_transient_retries: 2,
         }
     }
 }
@@ -272,8 +272,8 @@ struct Standby {
     link_up: bool,
 }
 
-/// One coordinator shard: its state partition, oplog, clock, standby, and
-/// delivery plane.
+/// One shard: its state partition, oplog, clock, standby, and delivery
+/// plane.
 struct Shard {
     id: ShardId,
     hlc: Hlc,
@@ -288,14 +288,14 @@ impl Shard {
         id: ShardId,
         peers: usize,
         transport: Box<dyn Transport>,
-        config: CoordinatorConfig,
+        config: DeliveryConfig,
     ) -> Shard {
         Shard {
             id,
             hlc: Hlc::new(id.0),
             oplog: Oplog::new(),
             state: MaterializedView::new(),
-            delivery: Delivery::new(peers, transport, config.into()),
+            delivery: Delivery::new(peers, transport, config),
             standby: Standby {
                 state: MaterializedView::new(),
                 applied_seq: 0,
@@ -382,7 +382,8 @@ pub struct ShardPlane {
     shards: Vec<Shard>,
     /// One WAL stream per shard (index = shard id), when durable.
     wals: Option<Vec<Wal>>,
-    config: CoordinatorConfig,
+    delivery_config: DeliveryConfig,
+    wal_transient_retries: u32,
     /// The deterministic "physical" tick feeding every HLC (advances on
     /// each submit and each pump).
     clock: u64,
@@ -559,7 +560,7 @@ impl ShardPlane {
         let shards: Vec<Shard> = transports
             .into_iter()
             .enumerate()
-            .map(|(i, t)| Shard::fresh(ShardId(i as u16), peers, t, config.coordinator))
+            .map(|(i, t)| Shard::fresh(ShardId(i as u16), peers, t, config.delivery))
             .collect();
         let admission = ShardAdmissionStats {
             local_admitted: vec![0; shards.len()],
@@ -571,7 +572,8 @@ impl ShardPlane {
             peers,
             shards,
             wals,
-            config: config.coordinator,
+            delivery_config: config.delivery,
+            wal_transient_retries: config.wal_transient_retries,
             clock: 0,
             hlc: Hlc::new(ROUTER_NODE),
             log: Vec::new(),
@@ -663,11 +665,10 @@ impl ShardPlane {
             shard.standby.state = shard.state.clone();
         }
         // Replicas restart cold: push everyone a full slice snapshot.
-        let (map, run) = (plane.map.clone(), &plane.run);
         for shard in &mut plane.shards {
             for i in 0..plane.peers {
                 let p = PeerId(i as u32);
-                let view = slice_view(&map, shard.id, run.peer_view(p));
+                let view = slice_view(&plane.map, shard.id, plane.run.peer_view(p));
                 shard.delivery.resync_with(p, view, &mut plane.ft);
             }
         }
@@ -955,7 +956,8 @@ impl ShardPlane {
     }
 
     /// The broadcast log of this process epoch (the causality oracle's
-    /// input; empty after a recovery, like the coordinator's).
+    /// input; empty after a recovery — the WAL streams are the durable
+    /// log).
     pub fn log(&self) -> &[ShardBroadcast] {
         &self.log
     }
@@ -1023,7 +1025,9 @@ impl ShardPlane {
     }
 
     /// Is the plane in degraded (read-only) mode after a durability
-    /// failure? Mirrors [`Coordinator::degraded`](crate::coordinator::Coordinator::degraded).
+    /// failure? Reads — replicas, [`ShardPlane::run`],
+    /// [`ShardPlane::audit`] — keep working; mutations are rejected with
+    /// [`CoordinatorError::Degraded`] until [`ShardPlane::rearm`] succeeds.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -1097,8 +1101,8 @@ impl ShardPlane {
         payload: &str,
         force_sync: bool,
     ) -> Result<u64, WalError> {
-        let mut retries = self.config.wal_transient_retries;
-        let mut backoff = self.config.retry_backoff_base.max(1);
+        let mut retries = self.wal_transient_retries;
+        let mut backoff = self.delivery_config.retry_backoff_base.max(1);
         loop {
             let wal = &mut self.wals.as_mut().expect("durable plane")[s.index()];
             match wal.append_raw(kind, payload, force_sync) {
@@ -1110,7 +1114,7 @@ impl ShardPlane {
                     retries -= 1;
                     self.ft.wal_transient_retries += 1;
                     self.clock += backoff;
-                    backoff = (backoff * 2).min(self.config.retry_backoff_cap.max(1));
+                    backoff = (backoff * 2).min(self.delivery_config.retry_backoff_cap.max(1));
                 }
                 Err(e) => return Err(e),
             }
@@ -1459,7 +1463,7 @@ impl ShardPlane {
                 }
             }
         }
-        let (map, run) = (self.map.clone(), &self.run);
+        let (map, run) = (&self.map, &self.run);
         for shard in &mut self.shards {
             if shard.standby.link_up {
                 for e in shard.oplog.tail(shard.standby.applied_seq) {
@@ -1473,7 +1477,7 @@ impl ShardPlane {
             let id = shard.id;
             shard
                 .delivery
-                .pump(&mut self.ft, |p| slice_view(&map, id, run.peer_view(p)));
+                .pump(&mut self.ft, |p| slice_view(map, id, run.peer_view(p)));
         }
     }
 
@@ -1510,11 +1514,10 @@ impl ShardPlane {
     /// diverges from its authoritative view.
     pub fn resync_divergent(&mut self) -> usize {
         let mut n = 0;
-        let (map, run) = (self.map.clone(), &self.run);
         for shard in &mut self.shards {
             for i in 0..self.peers {
                 let p = PeerId(i as u32);
-                let expect = slice_view(&map, shard.id, run.peer_view(p));
+                let expect = slice_view(&self.map, shard.id, self.run.peer_view(p));
                 if !shard.delivery.replica(p).same_facts(&expect) {
                     shard.delivery.resync_with(p, expect, &mut self.ft);
                     n += 1;
@@ -1544,7 +1547,6 @@ impl ShardPlane {
         self.stats.failovers += 1;
         let clock = self.clock;
         let peers = self.peers;
-        let config = self.config;
         let shard = &mut self.shards[s.index()];
         // Promote: standby state + oplog tail replay.
         let mut state = shard.standby.state.clone();
@@ -1565,16 +1567,15 @@ impl ShardPlane {
         // Resume the per-peer streams past the watermarks; replicas are
         // then resynced so the fresh snapshots supersede the old stream.
         let seqs = shard.delivery.next_seqs();
-        shard.delivery = Delivery::resuming(peers, transport, config.into(), &seqs);
+        shard.delivery = Delivery::resuming(peers, transport, self.delivery_config, &seqs);
         shard.standby = Standby {
             state: shard.state.clone(),
             applied_seq: shard.oplog.last_seq(),
             link_up: true,
         };
-        let (map, run) = (self.map.clone(), &self.run);
         for i in 0..peers {
             let p = PeerId(i as u32);
-            let view = slice_view(&map, s, run.peer_view(p));
+            let view = slice_view(&self.map, s, self.run.peer_view(p));
             shard.delivery.resync_with(p, view, &mut self.ft);
         }
         report
@@ -1652,7 +1653,6 @@ impl ShardPlane {
         };
         let s = h.shard;
         let peers = self.peers;
-        let config = self.config;
         let clock = self.clock;
         let shard = &mut self.shards[s.index()];
         // Drain + replay tail: transfer everything still missing.
@@ -1674,16 +1674,15 @@ impl ShardPlane {
         }
         shard.hlc = hlc;
         let seqs = shard.delivery.next_seqs();
-        shard.delivery = Delivery::resuming(peers, transport, config.into(), &seqs);
+        shard.delivery = Delivery::resuming(peers, transport, self.delivery_config, &seqs);
         shard.standby = Standby {
             state: shard.state.clone(),
             applied_seq: shard.oplog.last_seq(),
             link_up: true,
         };
-        let (map, run) = (self.map.clone(), &self.run);
         for i in 0..peers {
             let p = PeerId(i as u32);
-            let view = slice_view(&map, s, run.peer_view(p));
+            let view = slice_view(&self.map, s, self.run.peer_view(p));
             shard.delivery.resync_with(p, view, &mut self.ft);
         }
         self.stats.handoffs_completed += 1;
@@ -1782,8 +1781,12 @@ impl ShardPlane {
         // behind, idle and owning nothing — streams only ever grow.
         if let Some((transport, wal)) = new_shard {
             debug_assert_eq!(plan.dst.index(), self.shards.len());
-            self.shards
-                .push(Shard::fresh(plan.dst, self.peers, transport, self.config));
+            self.shards.push(Shard::fresh(
+                plan.dst,
+                self.peers,
+                transport,
+                self.delivery_config,
+            ));
             if let Some(w) = wal {
                 self.wals.as_mut().expect("durable plane").push(w);
             }
@@ -1886,7 +1889,6 @@ impl ShardPlane {
         }
         let moved = r.staged.total_tuples() as u64;
         self.map.cutover(&r.plan);
-        let map = self.map.clone();
         {
             let dst = &mut self.shards[r.plan.dst.index()];
             for (rel, t) in r.staged.facts() {
@@ -1903,7 +1905,7 @@ impl ShardPlane {
             let keep: Vec<(RelId, Tuple)> = src
                 .state
                 .facts()
-                .filter(|(_, t)| map.shard_of(t.key()) == r.plan.src)
+                .filter(|(_, t)| self.map.shard_of(t.key()) == r.plan.src)
                 .map(|(rel, t)| (rel, t.clone()))
                 .collect();
             let mut state = MaterializedView::new();
@@ -1933,12 +1935,11 @@ impl ShardPlane {
         // apply on top and leave a state no single (prefix, map) pair
         // explains. With it, the slice applies in seq order: old-epoch
         // deltas, the full new-shape snapshot, then new-epoch deltas.
-        let run = &self.run;
         for sid in [r.plan.src, r.plan.dst] {
             let shard = &mut self.shards[sid.index()];
             for i in 0..self.peers {
                 let p = PeerId(i as u32);
-                let view = slice_view(&map, sid, run.peer_view(p));
+                let view = slice_view(&self.map, sid, self.run.peer_view(p));
                 shard.delivery.resync_with(p, view, &mut self.ft);
             }
         }
@@ -2038,5 +2039,342 @@ impl fmt::Debug for ShardPlane {
             if self.wals.is_some() { ", durable" } else { "" },
             if self.degraded { ", DEGRADED" } else { "" },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::Bindings;
+    use crate::fault::FaultPlan;
+    use crate::simulate::{candidates, complete};
+    use crate::transport::FaultyTransport;
+    use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy};
+    use cwf_lang::{parse_workflow, VarId};
+    use cwf_model::Value;
+
+    fn spec() -> Arc<cwf_lang::WorkflowSpec> {
+        Arc::new(
+            parse_workflow(
+                r#"
+                schema { Doc(K, State); Seen(K); }
+                peers {
+                    author sees Doc(*), Seen(*);
+                    editor sees Doc(*), Seen(*);
+                    public sees Doc(K, State) where State = "published", Seen(*);
+                }
+                rules {
+                    draft @ author: +Doc(d, "draft") :- ;
+                    publish @ editor:
+                        -key Doc(d), +Doc(d2, "published")
+                        :- Doc(d, "draft");
+                    note @ public: +Seen(s) :- Doc(d, "published");
+                }
+                "#,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn ev(spec: &cwf_lang::WorkflowSpec, name: &str, vals: &[Value]) -> Event {
+        let rid = spec.program().rule_by_name(name).unwrap();
+        let mut b = Bindings::empty(vals.len());
+        for (i, v) in vals.iter().enumerate() {
+            b.set(VarId(i as u32), *v);
+        }
+        Event::new(spec, rid, b).unwrap()
+    }
+
+    /// A one-shard plane over `transport`, journaling to `wal` if given.
+    fn single(
+        spec: &Arc<cwf_lang::WorkflowSpec>,
+        transport: Box<dyn Transport>,
+        wal: Option<Wal>,
+    ) -> ShardPlane {
+        ShardPlane::with_parts(
+            Arc::clone(spec),
+            vec![transport],
+            wal.map(|w| vec![w]),
+            ShardPlaneConfig::default(),
+        )
+    }
+
+    fn durable(spec: &Arc<cwf_lang::WorkflowSpec>, backend: Box<dyn WalBackend>) -> ShardPlane {
+        let opts = WalOptions {
+            sync: SyncPolicy::Always,
+            snapshot_every: None,
+        };
+        let wal = Wal::create(backend, opts).unwrap();
+        single(spec, Box::new(PerfectTransport::new()), Some(wal))
+    }
+
+    fn delta_of(b: &ShardBroadcast, p: PeerId) -> ViewDelta {
+        b.deltas
+            .iter()
+            .find(|(q, _)| *q == p)
+            .map(|(_, d)| d.clone())
+            .expect("peer notified")
+    }
+
+    #[test]
+    fn deltas_reach_only_affected_peers() {
+        let spec = spec();
+        let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
+        let d = plane.draw_fresh();
+        let b = plane.submit(ev(&spec, "draft", &[d])).unwrap();
+        // The public peer sees drafts not at all: only author and editor get
+        // a delta.
+        let touched: Vec<PeerId> = b.deltas.iter().map(|(p, _)| *p).collect();
+        assert!(!touched.contains(&spec.collab().peer("public").unwrap()));
+        assert_eq!(touched.len(), 2);
+        plane.audit().unwrap();
+    }
+
+    #[test]
+    fn publishing_fans_out_with_removal_and_upsert() {
+        let spec = spec();
+        let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
+        let d = plane.draw_fresh();
+        plane.submit(ev(&spec, "draft", &[d])).unwrap();
+        let d2 = plane.draw_fresh();
+        let b = plane.submit(ev(&spec, "publish", &[d, d2])).unwrap();
+        let public = spec.collab().peer("public").unwrap();
+        let author = spec.collab().peer("author").unwrap();
+        // The public peer gains the published doc (pure upsert)…
+        let pub_delta = delta_of(b, public);
+        assert_eq!(pub_delta.upserts.len(), 1);
+        assert!(pub_delta.removals.is_empty());
+        // …the author sees the old draft removed and the new doc appear.
+        let auth_delta = delta_of(b, author);
+        assert_eq!(auth_delta.removals, vec![(RelId(0), d)]);
+        assert_eq!(auth_delta.upserts.len(), 1);
+        // Applying that mixed delta twice equals applying it once.
+        let mut once = MaterializedView::new();
+        auth_delta.apply_to(&mut once);
+        let mut twice = once.clone();
+        auth_delta.apply_to(&mut twice);
+        assert_eq!(once, twice, "apply_to is idempotent");
+        plane.audit().unwrap();
+        assert_eq!(plane.union_replica(public).total_tuples(), 1);
+    }
+
+    #[test]
+    fn the_broadcast_log_rebuilds_every_replica() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let spec = spec();
+        let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..30 {
+            let cands = candidates(plane.run());
+            let pick = cands[rng.gen_range(0..cands.len())].clone();
+            let mut scratch = plane.run().clone();
+            // Some candidates fail (chase conflicts); those broadcast nothing.
+            let before = plane.log().len();
+            if plane.submit(complete(&mut scratch, &pick)).is_err() {
+                assert_eq!(plane.log().len(), before);
+            }
+            plane.audit().unwrap();
+        }
+        assert!(!plane.log().is_empty());
+        for p in spec.collab().peer_ids() {
+            let mut rebuilt = MaterializedView::new();
+            for b in plane.log() {
+                if let Some((_, d)) = b.deltas.iter().find(|(q, _)| *q == p) {
+                    d.apply_to(&mut rebuilt);
+                }
+            }
+            assert!(rebuilt.same_facts(&plane.union_replica(p)));
+        }
+    }
+
+    #[test]
+    fn rejected_events_broadcast_nothing() {
+        let spec = spec();
+        let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
+        let bogus = ev(&spec, "publish", &[Value::Fresh(1), Value::Fresh(2)]);
+        assert!(matches!(
+            plane.submit(bogus),
+            Err(CoordinatorError::Engine(_))
+        ));
+        assert!(plane.log().is_empty());
+        plane.audit().unwrap();
+    }
+
+    #[test]
+    fn converge_diagnoses_a_stall_and_recovers_after_healing() {
+        let spec = spec();
+        // Drop everything: replicas can never catch up until healed.
+        let plan = FaultPlan::seeded(3).with_rates(1.0, 0.0, 0.0, 0, 0.0);
+        let mut plane = single(&spec, Box::new(FaultyTransport::new(plan)), None);
+        let d = plane.draw_fresh();
+        plane.submit(ev(&spec, "draft", &[d])).unwrap();
+        let stalled = plane.converge(20);
+        let ShardConvergence::Stalled {
+            undelivered,
+            divergent,
+        } = &stalled
+        else {
+            panic!("a fully dropping network cannot converge: {stalled}");
+        };
+        assert!(stalled.undelivered_total() > 0, "unacked deltas remain");
+        assert!(!divergent.is_empty(), "some replica diverges");
+        assert!(
+            undelivered.iter().all(|(_, _, n)| *n > 0),
+            "only slices with outstanding messages are listed"
+        );
+        assert!(
+            undelivered
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "undelivered breakdown reported in slice order"
+        );
+        assert!(
+            divergent.windows(2).all(|w| w[0] < w[1]),
+            "divergent slices reported in slice order"
+        );
+        let shown = stalled.to_string();
+        assert!(
+            shown.contains("s0/p0:"),
+            "per-slice breakdown shown: {shown}"
+        );
+        plane.heal();
+        match plane.converge(500) {
+            ShardConvergence::Converged { ticks } => assert!(ticks > 0),
+            s => panic!("healed network must converge: {s}"),
+        }
+        assert_eq!(plane.undelivered(), 0);
+        assert!(plane.divergent_slices().is_empty());
+    }
+
+    #[test]
+    fn wal_failure_degrades_and_recovery_resumes() {
+        let spec = spec();
+        let backend = MemBackend::new();
+        let mut plane = durable(&spec, Box::new(backend.clone()));
+        let d = plane.draw_fresh();
+        plane.submit(ev(&spec, "draft", &[d])).unwrap();
+        // Crash mid-append of the second event: 7 bytes of the record land.
+        backend.schedule_crash(1, 7);
+        let d2 = plane.draw_fresh();
+        let lost = ev(&spec, "draft", &[d2]);
+        let err = plane.submit(lost.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(plane.degraded());
+        // The non-durable event was rolled back out of memory: the in-memory
+        // run matches the durable state, and reads stay consistent.
+        assert_eq!(plane.run().len(), 1);
+        plane.audit().unwrap();
+        assert!(matches!(
+            plane.submit(lost.clone()),
+            Err(CoordinatorError::Degraded)
+        ));
+        // The dead process cannot re-arm in place (sync still fails).
+        assert!(plane.rearm().is_err());
+        assert!(plane.degraded());
+        assert_eq!(plane.ft_stats().wal_failures, 1);
+        assert_eq!(plane.ft_stats().degraded_rejected, 1);
+        // Recover from what survived: the synced prefix plus the torn bytes.
+        let (mut rc, report) = ShardPlane::recover(
+            Arc::clone(&spec),
+            vec![Box::new(backend.survivor(7))],
+            WalOptions {
+                sync: SyncPolicy::Always,
+                snapshot_every: None,
+            },
+            vec![Box::new(PerfectTransport::new())],
+            ShardPlaneConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.last_seq, 1, "only the first event was durable");
+        assert!(report.truncated_bytes > 0, "torn tail truncated");
+        rc.audit().unwrap();
+        // The in-flight event resubmits cleanly.
+        rc.submit(lost).unwrap();
+        rc.audit().unwrap();
+        assert_eq!(rc.run().len(), 2);
+    }
+
+    #[test]
+    fn fsync_failures_degrade_reads_survive_and_rearm_resumes() {
+        let spec = spec();
+        let inner = MemBackend::new();
+        let io = IoFaultBackend::new(Box::new(inner.clone()), FaultPlan::perfect(5));
+        let mut plane = durable(&spec, Box::new(io.clone()));
+        let d = plane.draw_fresh();
+        plane.submit(ev(&spec, "draft", &[d])).unwrap();
+        let author = spec.collab().peer("author").unwrap();
+        let replica_before = plane.union_replica(author);
+        assert_eq!(replica_before.total_tuples(), 1);
+
+        // Every fsync now fails: the next submit degrades the plane.
+        io.configure(|p| p.fsync_fail_p = 1.0);
+        let d2 = plane.draw_fresh();
+        let e2 = ev(&spec, "draft", &[d2]);
+        let err = plane.submit(e2.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(plane.degraded());
+        assert!(io.faults().fsync_failures > 0);
+
+        // Degraded mode: view reads keep serving the last durable state,
+        // the audit passes, mutations are rejected with Degraded, and
+        // re-arming fails while the fault persists.
+        assert_eq!(plane.union_replica(author), replica_before);
+        assert_eq!(plane.run().len(), 1);
+        plane.audit().unwrap();
+        assert!(matches!(
+            plane.submit(e2.clone()),
+            Err(CoordinatorError::Degraded)
+        ));
+        assert!(plane.rearm().is_err());
+        assert!(plane.degraded());
+
+        // The device stabilizes: rearm truncates the torn tail, and the
+        // in-flight event resubmits with its original fresh values.
+        io.heal();
+        plane.rearm().unwrap();
+        assert!(!plane.degraded());
+        plane.submit(e2).unwrap();
+        plane.audit().unwrap();
+        assert_eq!(plane.run().len(), 2);
+        let ft = plane.ft_stats();
+        assert_eq!(ft.degraded_recoveries, 1);
+        assert!(ft.wal_failures >= 1);
+        assert!(ft.degraded_rejected >= 1);
+
+        // What landed on the device recovers to exactly the two events.
+        let opts = WalOptions {
+            sync: SyncPolicy::Always,
+            snapshot_every: None,
+        };
+        let (run, report) = ShardPlane::replay_wals(&spec, vec![Box::new(inner)], opts).unwrap();
+        assert_eq!(run.len(), 2);
+        assert_eq!(report.last_seq, 2);
+    }
+
+    #[test]
+    fn transient_append_failures_are_retried_in_place() {
+        let spec = spec();
+        let inner = MemBackend::new();
+        let io = IoFaultBackend::new(Box::new(inner), FaultPlan::perfect(5));
+        let mut plane = durable(&spec, Box::new(io.clone()));
+        // Every append fails transiently: retries exhaust and degrade.
+        io.configure(|p| p.transient_p = 1.0);
+        let d = plane.draw_fresh();
+        let e = ev(&spec, "draft", &[d]);
+        let err = plane.submit(e.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(WalError::Transient(_))));
+        assert!(plane.degraded());
+        assert_eq!(
+            plane.ft_stats().wal_transient_retries,
+            ShardPlaneConfig::default().wal_transient_retries as u64
+        );
+        // Nothing was ever written: rearm is a clean no-op truncation, and
+        // once the transient condition clears the submit goes through.
+        io.heal();
+        plane.rearm().unwrap();
+        plane.submit(e).unwrap();
+        plane.audit().unwrap();
+        assert_eq!(plane.ft_stats().wal_appends, 1);
     }
 }

@@ -34,7 +34,7 @@ use cwf_model::{
     AttrChange, CollabSchema, Instance, InstanceDiff, PeerId, RelId, Tuple, Value, ViewInstance,
 };
 
-use crate::coordinator::MaterializedView;
+use crate::delivery::MaterializedView;
 
 /// One peer's view change caused by one event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -229,7 +229,7 @@ impl ViewPlane {
 
     /// Advances every view by `diff` (with `post` the instance after the
     /// diff), returning the non-empty per-peer deltas in peer-id order —
-    /// exactly what a coordinator broadcasts.
+    /// exactly what the plane broadcasts.
     pub fn step(
         &mut self,
         collab: &CollabSchema,

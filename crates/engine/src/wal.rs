@@ -1,7 +1,7 @@
-//! A durable write-ahead log for coordinators.
+//! A durable write-ahead log.
 //!
 //! Runs are fully determined by their event sequences (Section 2), so the
-//! WAL *is* the coordinator's durable state: one checksummed record per
+//! WAL *is* a run's durable state: one checksummed record per
 //! accepted event, rebuilt by replay — which re-validates every transition
 //! via [`Run::push`], making stored logs tamper-evident (cf. the provenance
 //! view of traces as the durable artifact). Periodic instance **snapshots**
@@ -23,8 +23,9 @@
 //! framing with three extra kinds for the cross-shard commit protocol —
 //! `p` (prepare), `c` (commit), `a` (abort) — and assign every record,
 //! snapshots included, a fresh dense sequence number (see
-//! [`ShardPlane`](crate::shard::ShardPlane)); a coordinator log must never
-//! contain them, so recovery refuses them as tampering there.
+//! [`ShardPlane`](crate::shard::ShardPlane)); a single-stream log (the
+//! format [`Wal::append_event`] writes and [`Wal::recover`] reads) must
+//! never contain them, so recovery refuses them as tampering there.
 //! The CRC is computed over `"<kind> <seq> <payload>"`. Recovery scans the
 //! longest valid prefix: a torn or corrupted record (incomplete line, bad
 //! UTF-8, unparsable fields, CRC mismatch) ends the scan and the suffix is
@@ -894,12 +895,12 @@ impl Wal {
                     last_seq = rec.seq;
                 }
                 // Commit-protocol and resharding records belong to
-                // per-shard streams; a coordinator log containing one was
+                // per-shard streams; a single-stream log containing one was
                 // spliced together.
                 'p' | 'c' | 'a' | 'm' | 'f' | 'x' => {
                     return Err(WalError::Tampered {
                         seq: rec.seq,
-                        reason: format!("record kind {:?} is not a coordinator record", rec.kind),
+                        reason: format!("record kind {:?} is not a single-stream record", rec.kind),
                     });
                 }
                 's' => {
@@ -970,7 +971,7 @@ impl Wal {
     // -----------------------------------------------------------------------
 
     /// Appends one raw record of `kind` with a fresh dense sequence number.
-    /// Per-shard streams (unlike coordinator logs) assign every record,
+    /// Per-shard streams (unlike single-stream logs) assign every record,
     /// snapshots included, its own seq, so stream validation is simply
     /// "each record's seq is the previous plus one". When `force_sync` the
     /// record is synced whatever the policy says (commit-point records and

@@ -1,66 +1,84 @@
 //! The chaos harness as a regression suite: fixed seeds that must stay
-//! green, a same-seed determinism audit, verbatim replay of the printed
-//! repro format, and a demonstration (on a deliberately broken oracle)
-//! that delta-debugging produces strictly smaller repro traces.
+//! green on the one-shard plane (the single master server) — and, for the
+//! crash-, storage-, and modification-heavy seeds, on four shards too — a
+//! same-seed determinism audit, verbatim replay of the printed repro
+//! format, and a demonstration (on a deliberately broken oracle) that
+//! delta-debugging produces strictly smaller repro traces.
 //!
 //! When a nightly sweep finds a failing seed, pin it here: copy the
 //! `CHAOS-FAIL`/`CHAOS-TRACE` lines into a test like
 //! [`printed_repro_replays_verbatim`] and it will replay byte-for-byte.
 
+use std::sync::Arc;
+
 use collab_workflows::engine::chaos::{
-    default_spec, format_trace, parse_trace, Action, ChaosProfile, ChaosSim, EventCountOracle,
+    default_spec, format_trace, parse_trace, Action, ChaosProfile, EventCountOracle, ShardChaosSim,
 };
+use collab_workflows::lang::WorkflowSpec;
 use collab_workflows::workloads::chaos_workload;
 
 const STEPS: usize = 60;
 
-fn run_seed(profile: ChaosProfile, seed: u64) -> collab_workflows::engine::chaos::TraceReport {
-    let sim = ChaosSim::new(default_spec(), profile);
+/// The single-node harness: the chaos sim over a one-shard plane.
+fn sim(spec: Arc<WorkflowSpec>, profile: ChaosProfile) -> ShardChaosSim {
+    ShardChaosSim::new(spec, profile, 1)
+}
+
+fn run_seed(
+    profile: ChaosProfile,
+    seed: u64,
+    shards: usize,
+) -> collab_workflows::engine::chaos::TraceReport {
+    let sim = ShardChaosSim::new(default_spec(), profile, shards);
     match sim.check_seed(seed, STEPS) {
         Ok(report) => report,
-        Err(f) => panic!("chaos seed must stay green:\n{f}"),
+        Err(f) => panic!("chaos seed must stay green (shards={shards}):\n{f}"),
     }
 }
 
 /// A default-profile seed: moderate network faults, healthy storage.
 #[test]
 fn fixed_seed_default_profile_passes_all_oracles() {
-    let report = run_seed(ChaosProfile::Default, 7);
+    let report = run_seed(ChaosProfile::Default, 7, 1);
     assert!(report.events > 0, "trace must accept events");
 }
 
 /// A crash-heavy seed: the trace must actually crash and recover.
 #[test]
 fn fixed_seed_crash_heavy_exercises_restarts() {
-    let report = run_seed(ChaosProfile::CrashHeavy, 9);
-    assert!(report.events > 0, "trace must accept events");
-    assert!(
-        report.restarts >= 2,
-        "a crash-heavy seed must crash-restart (got {})",
-        report.restarts
-    );
-    assert!(
-        report.ft.recovered_events > 0,
-        "recovery must replay events from the WAL"
-    );
+    for shards in [1, 4] {
+        let report = run_seed(ChaosProfile::CrashHeavy, 9, shards);
+        assert!(report.events > 0, "trace must accept events");
+        assert!(
+            report.restarts >= 2,
+            "a crash-heavy seed must crash-restart (got {})",
+            report.restarts
+        );
+        assert!(
+            report.ft.recovered_events > 0,
+            "recovery must replay events from the WAL"
+        );
+    }
 }
 
 /// A storage-heavy seed: WAL faults must fire and degraded mode must be
 /// entered and left.
 #[test]
 fn fixed_seed_storage_heavy_exercises_degraded_mode() {
-    let report = run_seed(ChaosProfile::StorageHeavy, 0);
-    assert!(report.events > 0, "trace must accept events");
-    assert!(
-        report.ft.wal_failures > 0,
-        "a storage-heavy seed must hit WAL failures (ft: {:?})",
-        report.ft
-    );
-    assert!(
-        report.ft.degraded_recoveries > 0,
-        "the coordinator must re-arm out of degraded mode (ft: {:?})",
-        report.ft
-    );
+    for shards in [1, 4] {
+        let report = run_seed(ChaosProfile::StorageHeavy, 0, shards);
+        assert!(report.events > 0, "trace must accept events");
+        assert!(
+            report.ft.wal_failures > 0,
+            "a storage-heavy seed must hit WAL failures (ft: {:?})",
+            report.ft
+        );
+        assert!(
+            report.ft.degraded_recoveries > 0,
+            "the plane must re-arm out of degraded mode (ft: {:?})",
+            report.ft
+        );
+    }
 }
 
 /// A modification-heavy seed over the null-filling task-tracker spec: the
@@ -70,29 +88,31 @@ fn fixed_seed_storage_heavy_exercises_degraded_mode() {
 #[test]
 fn fixed_seed_mod_heavy_exercises_in_place_modifications() {
     use collab_workflows::engine::chaos::modification_spec;
-    let sim = ChaosSim::new(modification_spec(), ChaosProfile::ModificationHeavy);
-    let report = match sim.check_seed(9, STEPS) {
-        Ok(report) => report,
-        Err(f) => panic!("chaos seed must stay green:\n{f}"),
-    };
-    assert!(report.events > 0, "trace must accept events");
-    assert!(
-        report.modified_tuples >= 10,
-        "a modification-heavy seed must null-fill tuples in place (got {})",
-        report.modified_tuples
-    );
-    assert!(
-        report.restarts >= 1,
-        "the plane must survive at least one crash-restart rebuild (got {})",
-        report.restarts
-    );
+    for shards in [1, 4] {
+        let sim = ShardChaosSim::new(modification_spec(), ChaosProfile::ModificationHeavy, shards);
+        let report = match sim.check_seed(9, STEPS) {
+            Ok(report) => report,
+            Err(f) => panic!("chaos seed must stay green (shards={shards}):\n{f}"),
+        };
+        assert!(report.events > 0, "trace must accept events");
+        assert!(
+            report.modified_tuples >= 10,
+            "a modification-heavy seed must null-fill tuples in place (got {})",
+            report.modified_tuples
+        );
+        assert!(
+            report.restarts >= 1,
+            "the plane must survive at least one crash-restart rebuild (got {})",
+            report.restarts
+        );
+    }
 }
 
 /// The random-workload path stays green too (a different spec per seed).
 #[test]
 fn fixed_seeds_on_random_workloads_pass_all_oracles() {
     for seed in [3, 17] {
-        let sim = ChaosSim::new(chaos_workload(seed).spec, ChaosProfile::CrashHeavy);
+        let sim = sim(chaos_workload(seed).spec, ChaosProfile::CrashHeavy);
         if let Err(f) = sim.check_seed(seed, STEPS) {
             panic!("random-workload chaos seed must stay green:\n{f}");
         }
@@ -107,7 +127,7 @@ fn fixed_seeds_on_random_workloads_pass_all_oracles() {
 /// provenance mirror active.
 #[test]
 fn fixed_seed_provenance_oracle_stays_sound_and_deterministic() {
-    let sim = ChaosSim::new(chaos_workload(21).spec, ChaosProfile::CrashHeavy);
+    let sim = sim(chaos_workload(21).spec, ChaosProfile::CrashHeavy);
     let trace = sim.generate(21, STEPS);
     let a = sim
         .run_trace(21, &trace)
@@ -132,7 +152,7 @@ fn same_seed_runs_are_byte_identical() {
         ChaosProfile::StorageHeavy,
         ChaosProfile::ModificationHeavy,
     ] {
-        let sim = ChaosSim::new(default_spec(), profile);
+        let sim = sim(default_spec(), profile);
         let trace = sim.generate(23, STEPS);
         assert_eq!(
             trace,
@@ -158,7 +178,7 @@ fn same_seed_runs_are_byte_identical() {
 /// fault state) still produces byte-identical transcripts across runs.
 #[test]
 fn parallel_probes_do_not_leak_nondeterminism_into_traces() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+    let sim = sim(default_spec(), ChaosProfile::CrashHeavy);
     let mut trace = Vec::new();
     for action in sim.generate(13, STEPS) {
         trace.push(action);
@@ -181,7 +201,7 @@ fn parallel_probes_do_not_leak_nondeterminism_into_traces() {
 /// `format_trace` → `parse_trace` → `run_trace` reproduces the report.
 #[test]
 fn printed_repro_replays_verbatim() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+    let sim = sim(default_spec(), ChaosProfile::CrashHeavy);
     let trace = sim.generate(11, STEPS);
     let reparsed = parse_trace(&format_trace(&trace)).expect("printed traces parse");
     assert_eq!(reparsed, trace);
@@ -196,7 +216,7 @@ fn printed_repro_replays_verbatim() {
 /// the minimized repro replays verbatim through the text format.
 #[test]
 fn broken_oracle_failures_shrink_to_smaller_repros() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::Default)
+    let sim = sim(default_spec(), ChaosProfile::Default)
         .with_oracle(|| Box::new(EventCountOracle { limit: 3 }));
     let failure = sim
         .check_seed(7, STEPS)
@@ -239,7 +259,7 @@ fn explore() {
         ChaosProfile::CrashHeavy,
         ChaosProfile::StorageHeavy,
     ] {
-        let sim = ChaosSim::new(default_spec(), profile);
+        let sim = sim(default_spec(), profile);
         for seed in 0..20u64 {
             match sim.check_seed(seed, STEPS) {
                 Ok(r) => println!(

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use collab_workflows::engine::chaos::{
-    default_spec, Action, ChaosProfile, ShardChaosSim, ShardCheckpoint, ShardOracle,
+    default_spec, Action, ChaosProfile, Checkpoint, Oracle, ShardChaosSim,
 };
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{candidates, complete, MigrationKind, WalBackend};
@@ -403,11 +403,11 @@ struct EpochCeiling {
     ceiling: u64,
 }
 
-impl ShardOracle for EpochCeiling {
+impl Oracle for EpochCeiling {
     fn name(&self) -> &'static str {
         "epoch-ceiling"
     }
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let epoch = cp.plane.map().epoch();
         if epoch > self.ceiling {
             return Err(format!(

@@ -1,7 +1,7 @@
-//! The sharded state plane, end to end: shards=1 behavioral equivalence
-//! with the single coordinator, multi-shard convergence under faults,
-//! partitions, failovers, HLC causality, per-slice stall breakdowns, and
-//! pinned shard-chaos seeds with a same-seed determinism audit.
+//! The sharded state plane, end to end: multi-shard convergence under
+//! faults, partitions, failovers, HLC causality, per-slice stall
+//! breakdowns, WAL recovery with repartitioning, and pinned shard-chaos
+//! seeds with a same-seed determinism audit.
 
 use std::sync::Arc;
 
@@ -33,44 +33,6 @@ fn scripted_events(run_seed: &mut Run, n: usize) -> Vec<Event> {
     events
 }
 
-/// shards=1 is behaviorally identical to the single coordinator: same
-/// accepted run, same replica contents after every submit, same quiescent
-/// audit. (The plane is the coordinator's own delivery machinery behind a
-/// one-entry shard map, so this is the refactor's no-regression gate.)
-#[test]
-fn single_shard_plane_matches_the_coordinator() {
-    let spec = default_spec();
-    let mut script = Run::new(Arc::clone(&spec));
-    let events = scripted_events(&mut script, 12);
-    assert!(events.len() >= 10, "the spec must yield a long script");
-
-    let mut coordinator = Coordinator::new(Arc::clone(&spec));
-    let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
-    for event in &events {
-        coordinator.submit(event.clone()).expect("coordinator ok");
-        plane.submit(event.clone()).expect("plane ok");
-        assert_eq!(
-            coordinator.run().current(),
-            plane.run().current(),
-            "instances must stay identical after every submit"
-        );
-        for p in spec.collab().peer_ids() {
-            assert!(
-                coordinator
-                    .replica(p)
-                    .same_facts(&plane.shard_replica(ShardId(0), p).clone()),
-                "replica of peer {} diverged between coordinator and 1-shard plane",
-                spec.collab().peer_name(p)
-            );
-        }
-    }
-    coordinator.converge(100);
-    plane.converge(100);
-    assert!(coordinator.audit().is_ok());
-    assert!(plane.audit().is_ok());
-    assert!(plane.state_matches(coordinator.run().current()));
-}
-
 /// A 4-shard plane over faulty per-shard transports, with partitions cut
 /// mid-run and a failover, still converges to the exact instance and view
 /// of a clean shadow run after heal.
@@ -92,11 +54,11 @@ fn four_shard_plane_converges_under_faults_partitions_and_failover() {
         transports,
         None,
         ShardPlaneConfig {
-            shards: 4,
-            coordinator: CoordinatorConfig {
+            delivery: DeliveryConfig {
                 resync_lag: 6,
-                ..CoordinatorConfig::default()
+                ..DeliveryConfig::default()
             },
+            ..ShardPlaneConfig::with_shards(4)
         },
     );
 
@@ -131,7 +93,7 @@ fn four_shard_plane_converges_under_faults_partitions_and_failover() {
     }
     assert!(
         plane.state_matches(script.current()),
-        "union of shard states must equal the single-shard shadow run"
+        "union of shard states must equal the shadow run"
     );
     for p in spec.collab().peer_ids() {
         assert!(
@@ -345,30 +307,4 @@ fn same_seed_shard_runs_are_byte_identical() {
         );
         assert_eq!(a, b, "same-seed shard reports must be equal");
     }
-}
-
-/// The sharded sim and the single-coordinator sim accept the *same* traces:
-/// a partition-heavy trace (which contains `part`/`failover`/`handoff`
-/// tokens) runs green through both harnesses.
-#[test]
-fn one_grammar_drives_both_harnesses() {
-    use collab_workflows::engine::chaos::ChaosSim;
-    let shard_sim = ShardChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, 2);
-    let trace = shard_sim.generate(5, STEPS);
-    assert!(
-        trace.iter().any(|a| {
-            matches!(
-                a,
-                collab_workflows::engine::chaos::Action::Partition { .. }
-                    | collab_workflows::engine::chaos::Action::ShardFailover { .. }
-            )
-        }),
-        "the partition-heavy generator must emit shard actions"
-    );
-    shard_sim
-        .run_trace(5, &trace)
-        .expect("trace green on the shard plane");
-    ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy)
-        .run_trace(5, &trace)
-        .expect("same trace green on the single coordinator");
 }
