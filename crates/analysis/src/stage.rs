@@ -13,7 +13,7 @@
 
 use cwf_core::{tp_closure, EventSet, RunIndex};
 use cwf_engine::Run;
-use cwf_model::PeerId;
+use cwf_model::{Instance, PeerId};
 
 /// One p-stage of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,19 +70,22 @@ pub fn stages(run: &Run, peer: PeerId) -> Vec<Stage> {
 }
 
 /// The minimum p-faithful subrun of a closed stage, replayed as a run on the
-/// stage's pre-instance. Returns the stage-relative positions (offsets from
-/// `stage.start`) and the replayed run.
+/// stage's pre-instance `pre` (the instance before event `stage.start`: a
+/// [`Run::cursor`] step's `pre`, or [`Run::pre_instance`]). Returns the
+/// stage-relative positions (offsets from `stage.start`) and the replayed
+/// run.
 pub fn minimum_faithful_of_stage(
     run: &Run,
     peer: PeerId,
     stage: &Stage,
+    pre: &Instance,
 ) -> Option<(Vec<usize>, Run)> {
     let visible = stage.visible?;
     // Replay the stage as its own run on the pre-instance (always succeeds:
     // these are the original consecutive events).
     let stage_run = Run::replay(
         run.spec_arc(),
-        run.pre_instance(stage.start).clone(),
+        pre.clone(),
         (stage.start..stage.end).map(|i| run.event(i).clone()),
     )
     .expect("consecutive events of a run replay verbatim");
@@ -176,7 +179,8 @@ mod tests {
             }]
         );
         assert!(!ss[0].is_closed());
-        assert!(minimum_faithful_of_stage(&prefix, p, &ss[0]).is_none());
+        let pre = prefix.pre_instance(ss[0].start);
+        assert!(minimum_faithful_of_stage(&prefix, p, &ss[0], &pre).is_none());
     }
 
     #[test]
@@ -184,12 +188,14 @@ mod tests {
         let run = run();
         let p = run.spec().collab().peer("p").unwrap();
         let ss = stages(&run, p);
-        let (offsets, sub) = minimum_faithful_of_stage(&run, p, &ss[0]).unwrap();
+        let pre = run.pre_instance(ss[0].start);
+        let (offsets, sub) = minimum_faithful_of_stage(&run, p, &ss[0], &pre).unwrap();
         // a(0), b(2), out(3) — junk(1) is irrelevant.
         assert_eq!(offsets, vec![0, 2, 3]);
         assert_eq!(sub.len(), 3);
         // The second stage is the single visible event.
-        let (offsets2, _) = minimum_faithful_of_stage(&run, p, &ss[1]).unwrap();
+        let pre = run.pre_instance(ss[1].start);
+        let (offsets2, _) = minimum_faithful_of_stage(&run, p, &ss[1], &pre).unwrap();
         assert_eq!(offsets2, vec![0]);
     }
 

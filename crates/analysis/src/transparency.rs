@@ -369,14 +369,14 @@ pub fn sample_transparency_violation(
         let mut sim = Simulator::new(Run::new(Arc::clone(spec)), rng);
         let _ = sim.steps(run_len);
         let run = sim.into_run();
+        let mut history = run.cursor();
         for st in stages(&run, peer) {
-            if let Some((offsets, sub)) = minimum_faithful_of_stage(&run, peer, &st) {
-                let _ = offsets;
-                let pre = run.pre_instance(st.start).clone();
-                chains.push((pre, sub.events().to_vec()));
+            let pre = history.seek(st.start).expect("stages are non-empty").pre;
+            if let Some((_, sub)) = minimum_faithful_of_stage(&run, peer, &st, pre) {
+                chains.push((pre.clone(), sub.events().to_vec()));
             }
             if let Some(v) = st.visible {
-                fresh.push(run.instance(v).clone());
+                fresh.push(history.seek(v).expect("a visible event").post.clone());
             }
         }
     }

@@ -204,11 +204,11 @@ pub fn sample_tree_divergence(
         let _ = sim.steps(run_len);
         let run = sim.into_run();
         // Compare at every prefix state (including the initial one).
+        let mut history = run.cursor();
         for i in 0..=run.len() {
-            let state = if i == 0 {
-                run.initial().clone()
-            } else {
-                run.instance(i - 1).clone()
+            let state = match history.seek(i) {
+                Some(step) => step.pre.clone(),
+                None => run.current().clone(),
             };
             let Some(obs_p) =
                 observations_p(spec, peer, &state, &chain_pool, h, &gov, &mut skipped)

@@ -349,6 +349,7 @@ pub fn expand_view_run(
             run.avoid_fresh(&v);
         }
     }
+    let mut history = view_run.cursor();
     for i in 0..view_run.len() {
         let ev = view_run.event(i);
         if ev.peer == synth.p_peer {
@@ -409,7 +410,7 @@ pub fn expand_view_run(
         }
         // Verify observational agreement after each view event.
         let got = view_as_instance(synth, &original.collab().view_of(run.current(), peer));
-        if &got != view_run.instance(i) {
+        if &got != history.seek(i).expect("in range").post {
             return Err(ExpandError {
                 at: i,
                 message: "expanded run's view diverged from the view run".into(),

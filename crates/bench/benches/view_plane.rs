@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 
 use cwf_engine::{candidates, complete, materialize_view, peer_delta, Run};
 use cwf_lang::parse_workflow;
-use cwf_model::{CollabSchema, PeerId};
+use cwf_model::{CollabSchema, Instance, PeerId};
 
 use std::sync::Arc;
 
@@ -102,12 +102,13 @@ fn build_run() -> Run {
 
 /// Every peer's view at every prefix via the incremental plane: one
 /// bootstrap per peer, then one delta application per accepted event.
-fn plane_pass(collab: &CollabSchema, run: &Run, peers: &[PeerId]) -> usize {
+/// `instances[i]` is `I_i`, materialized once outside the timed passes.
+fn plane_pass(collab: &CollabSchema, run: &Run, instances: &[Instance], peers: &[PeerId]) -> usize {
     let mut checksum = 0usize;
     for &p in peers {
         let mut view = materialize_view(collab, p, run.initial());
-        for i in 0..run.len() {
-            peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut view);
+        for (i, post) in instances.iter().enumerate() {
+            peer_delta(collab, p, run.diff(i), post).apply_to_view(&mut view);
             checksum += view.total_tuples();
         }
     }
@@ -115,11 +116,11 @@ fn plane_pass(collab: &CollabSchema, run: &Run, peers: &[PeerId]) -> usize {
 }
 
 /// The same views by full rescans: `view_of` from scratch per (step, peer).
-fn rescan_pass(collab: &CollabSchema, run: &Run, peers: &[PeerId]) -> usize {
+fn rescan_pass(collab: &CollabSchema, instances: &[Instance], peers: &[PeerId]) -> usize {
     let mut checksum = 0usize;
     for &p in peers {
-        for i in 0..run.len() {
-            checksum += collab.view_of(run.instance(i), p).total_tuples();
+        for post in instances {
+            checksum += collab.view_of(post, p).total_tuples();
         }
     }
     checksum
@@ -144,8 +145,14 @@ fn main() {
     let final_tuples = run.current().total_tuples();
     let modified: usize = (0..run.len()).map(|i| run.diff(i).modified.len()).sum();
 
-    let (plane_s, plane_sum) = time_passes(|| plane_pass(collab, &run, &peers));
-    let (rescan_s, rescan_sum) = time_passes(|| rescan_pass(collab, &run, &peers));
+    let mut instances = Vec::with_capacity(run.len());
+    let mut history = run.cursor();
+    while let Some(step) = history.next() {
+        instances.push(step.post.clone());
+    }
+
+    let (plane_s, plane_sum) = time_passes(|| plane_pass(collab, &run, &instances, &peers));
+    let (rescan_s, rescan_sum) = time_passes(|| rescan_pass(collab, &instances, &peers));
     assert_eq!(
         plane_sum, rescan_sum,
         "both strategies must produce identical views at every prefix"

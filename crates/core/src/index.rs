@@ -3,8 +3,8 @@
 //! modifications (Section 4).
 //!
 //! The index is built once per run (and extended incrementally as events are
-//! appended) so the `T_p` fixpoint and the faithfulness checks never rescan
-//! instances.
+//! appended) from the events and their stored diffs alone, so the `T_p`
+//! fixpoint and the faithfulness checks never rescan instances.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -72,39 +72,41 @@ impl RunIndex {
         for i in self.len..run.len() {
             let event = run.event(i);
             self.key_occs.push(event.key_occurrences(spec));
-            let pre = run.pre_instance(i);
+            let diff = run.diff(i);
             for upd in event.ground_updates(spec) {
                 match upd {
                     GroundUpdate::Insert { rel, view_tuple } => {
                         let key = *view_tuple.key();
-                        match pre.rel(rel).get(&key) {
-                            None => {
-                                // A new tuple: opens a lifecycle.
-                                self.lifecycles
+                        let created = diff
+                            .created
+                            .iter()
+                            .any(|(r, t)| *r == rel && *t.key() == key);
+                        let modified = diff
+                            .modified
+                            .iter()
+                            .find(|(r, k, _)| *r == rel && *k == key);
+                        if created {
+                            // A new tuple: opens a lifecycle.
+                            self.lifecycles
+                                .entry((rel, key))
+                                .or_default()
+                                .push(Lifecycle {
+                                    start: i,
+                                    end: None,
+                                });
+                        } else if let Some((_, _, changes)) = modified {
+                            // An existing tuple: record ⊥→v attribute flips.
+                            // (A no-op insert changes nothing.)
+                            let attrs: BTreeSet<AttrId> = changes
+                                .iter()
+                                .filter(|c| c.before.is_null() && !c.after.is_null())
+                                .map(|c| c.attr)
+                                .collect();
+                            if !attrs.is_empty() {
+                                self.mods
                                     .entry((rel, key))
                                     .or_default()
-                                    .push(Lifecycle {
-                                        start: i,
-                                        end: None,
-                                    });
-                            }
-                            Some(old) => {
-                                // An existing tuple: record ⊥→v attribute flips.
-                                let post = run.instance(i);
-                                let Some(new) = post.rel(rel).get(&key) else {
-                                    continue; // deleted by a sibling update
-                                };
-                                let attrs: BTreeSet<AttrId> = old
-                                    .entries()
-                                    .filter(|(a, v)| v.is_null() && !new.get(*a).is_null())
-                                    .map(|(a, _)| a)
-                                    .collect();
-                                if !attrs.is_empty() {
-                                    self.mods
-                                        .entry((rel, key))
-                                        .or_default()
-                                        .push(Modification { at: i, attrs });
-                                }
+                                    .push(Modification { at: i, attrs });
                             }
                         }
                     }

@@ -29,8 +29,10 @@ pub struct RunTransparencyViolation {
 /// Is every closed stage's minimum p-faithful subrun of length ≤ h?
 /// (The h-boundedness half of Definition 6.4.)
 pub fn is_run_h_bounded(run: &Run, peer: PeerId, h: usize) -> bool {
+    let mut history = run.cursor();
     stages(run, peer).iter().all(|st| {
-        match minimum_faithful_of_stage(run, peer, st) {
+        let pre = history.seek(st.start).expect("stages are non-empty").pre;
+        match minimum_faithful_of_stage(run, peer, st, pre) {
             Some((offsets, _)) => offsets.len() <= h,
             None => true, // open stage: no observation yet
         }
@@ -45,11 +47,12 @@ pub fn run_transparency_violation(
     candidates: &[Instance],
 ) -> Option<RunTransparencyViolation> {
     let spec = run.spec_arc();
+    let mut history = run.cursor();
     for (si, st) in stages(run, peer).iter().enumerate() {
-        let Some((_, sub)) = minimum_faithful_of_stage(run, peer, st) else {
+        let pre = history.seek(st.start).expect("stages are non-empty").pre;
+        let Some((_, sub)) = minimum_faithful_of_stage(run, peer, st, pre) else {
             continue;
         };
-        let pre = run.pre_instance(st.start);
         let chain: Vec<Event> = sub.events().to_vec();
         let mut new_vals: BTreeSet<Value> = BTreeSet::new();
         for e in &chain {
@@ -90,9 +93,10 @@ pub fn p_fresh_candidates(run: &Run, peer: PeerId) -> Vec<Instance> {
     if run.initial().is_empty() {
         out.push(run.initial().clone());
     }
-    for i in 0..run.len() {
-        if run.visible_at(i, peer) {
-            out.push(run.instance(i).clone());
+    let mut history = run.cursor();
+    while let Some(step) = history.next() {
+        if run.visible_at(step.index, peer) {
+            out.push(step.post.clone());
         }
     }
     out
@@ -208,14 +212,15 @@ impl Projection {
     /// the projected updates (`None` marks events removed by `Π`).
     pub fn project_run(&self, run: &Run) -> Vec<(Option<Vec<GroundUpdate>>, Instance)> {
         let schema = run.spec().collab().schema();
-        (0..run.len())
-            .map(|i| {
-                (
-                    self.project_updates(&run.event(i).ground_updates(run.spec()), schema),
-                    self.project_instance(schema, run.instance(i)),
-                )
-            })
-            .collect()
+        let mut out = Vec::with_capacity(run.len());
+        let mut history = run.cursor();
+        while let Some(step) = history.next() {
+            out.push((
+                self.project_updates(&step.event.ground_updates(run.spec()), schema),
+                self.project_instance(schema, step.post),
+            ));
+        }
+        out
     }
 }
 
@@ -286,7 +291,7 @@ mod tests {
         push(&mut run, "clear", std::slice::from_ref(&y));
         push(&mut run, "hire", std::slice::from_ref(&x));
         // Candidate: same view (Cleared{x,y}, no Hire) without Approved.
-        let mut j = run.instance(2).clone();
+        let mut j = run.instance(2);
         let approved = spec.collab().schema().rel("Approved").unwrap();
         j.rel_mut(approved).remove(&x);
         let v = run_transparency_violation(&run, sue, std::slice::from_ref(&j));

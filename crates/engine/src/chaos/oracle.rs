@@ -382,19 +382,25 @@ impl Oracle for ShardSlicePrefix {
             for p in collab.peer_ids() {
                 let slice = cp.plane.shard_replica(s, p);
                 // Newest prefix and newest map first: up to date is the
-                // common case.
-                let ok = (0..=cp.shadow.len()).rev().any(|i| {
-                    let inst = if i == 0 {
-                        cp.shadow.initial()
-                    } else {
-                        cp.shadow.instance(i - 1)
-                    };
-                    let view = collab.view_of(inst, p);
-                    self.maps
+                // common case. Older prefixes come from reverting diffs.
+                let mut inst = cp.shadow.current().clone();
+                let mut n = cp.shadow.len();
+                let ok = loop {
+                    let view = collab.view_of(&inst, p);
+                    if self
+                        .maps
                         .iter()
                         .rev()
                         .any(|m| slice.same_facts(&slice_view(m, s, &view)))
-                });
+                    {
+                        break true;
+                    }
+                    if n == 0 {
+                        break false;
+                    }
+                    n -= 1;
+                    cp.shadow.diff(n).revert(&mut inst);
+                };
                 if !ok {
                     return Err(format!(
                         "slice {s}/peer {} matches no prefix of the {}-event accepted history \

@@ -49,7 +49,7 @@ pub use event::{Event, GroundUpdate};
 pub use fault::FaultPlan;
 pub use nf_runs::{from_normal_form, to_normal_form, NfTranslateError};
 pub use prov::ProvPlane;
-pub use run::{EventView, ReplayError, Run, RunView, ViewStep};
+pub use run::{Cursor, EventView, ReplayError, Run, RunView, Step, ViewStep};
 pub use scratch::ScratchRun;
 pub use shard::{
     FailoverReport, Hlc, HlcStamp, MigrationKind, MigrationPlan, Oplog, OplogEntry,
@@ -58,7 +58,8 @@ pub use shard::{
 pub use simulate::{candidates, complete, Candidate, Simulator};
 pub use stats::{FtStats, PeerStats, RunStats, ShardAdmissionStats};
 pub use transition::{
-    apply_event, apply_event_with_view, apply_updates, event_visible, view_of, Applied,
+    apply_event, apply_event_in_place, apply_event_with_view, apply_updates,
+    apply_updates_in_place, event_visible, view_of, Applied, Effect,
 };
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
 pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};

@@ -105,7 +105,9 @@ pub fn to_normal_form(nf: &NormalForm, run: &Run) -> Result<Run, NfTranslateErro
                 }
                 let mut trial = out.clone();
                 if trial.push(cand).is_ok() {
-                    if trial.current() != run.instance(i) {
+                    // Both runs start from I_{i−1}, so equal diffs mean
+                    // equal instances I_i.
+                    if trial.diff(i) != run.diff(i) {
                         return Err(NfTranslateError::InstanceMismatch { index: i });
                     }
                     out = trial;
@@ -148,7 +150,7 @@ pub fn from_normal_form(
         };
         out.push(e)
             .map_err(|_| NfTranslateError::NoCaseRule { index: i })?;
-        if out.current() != nf_run.instance(i) {
+        if out.diff(i) != nf_run.diff(i) {
             return Err(NfTranslateError::InstanceMismatch { index: i });
         }
     }

@@ -45,7 +45,7 @@ use cwf_lang::WorkflowSpec;
 use cwf_model::{InstanceDiff, Mono, PeerId, ProvStore, Provenance, RelId, Value};
 
 use crate::event::{Event, GroundUpdate};
-use crate::run::Run;
+use crate::run::{Run, Step};
 use crate::view_plane::ViewDelta;
 
 /// Incrementally maintained why-provenance for every fact of a run, at the
@@ -88,9 +88,10 @@ impl ProvPlane {
                     .upsert(*k, Provenance::one());
             }
         }
-        for i in 0..run.len() {
-            let noops = noop_inserts_of(run, i);
-            plane.fold(spec, run.event(i), i as u32, run.diff(i), &noops);
+        let mut history = run.cursor();
+        while let Some(step) = history.next() {
+            let noops = noop_inserts_of(spec, &step);
+            plane.fold(spec, step.event, step.index as u32, step.diff, &noops);
         }
         // Peer stores are the global polynomials restricted to the keys the
         // maintained view plane holds for each peer.
@@ -369,15 +370,14 @@ fn written_keys(diff: &InstanceDiff) -> impl Iterator<Item = (RelId, Value)> + '
         .chain(diff.deleted.iter().map(|(r, t)| (*r, *t.key())))
 }
 
-/// Reconstructs the transition's no-op inserts for event `i` of a stored
-/// run: ground inserts whose key appears in neither `created` nor
-/// `modified` of the diff left the instance untouched. The flag records
-/// whether the padded insert equals the stored tuple outright.
-fn noop_inserts_of(run: &Run, i: usize) -> Vec<(RelId, Value, bool)> {
-    let spec = run.spec();
+/// Reconstructs the transition's no-op inserts of one stored step: ground
+/// inserts whose key appears in neither `created` nor `modified` of the
+/// diff left the instance untouched. The flag records whether the padded
+/// insert equals the stored tuple outright.
+fn noop_inserts_of(spec: &WorkflowSpec, step: &Step<'_>) -> Vec<(RelId, Value, bool)> {
     let schema = spec.collab().schema();
-    let event = run.event(i);
-    let diff = run.diff(i);
+    let event = step.event;
+    let diff = step.diff;
     let mut out = Vec::new();
     for upd in event.ground_updates(spec) {
         let GroundUpdate::Insert { rel, view_tuple } = upd else {
@@ -393,8 +393,8 @@ fn noop_inserts_of(run: &Run, i: usize) -> Vec<(RelId, Value, bool)> {
             .collab()
             .view(event.peer, rel)
             .expect("validated events only update visible relations");
-        let stored = run
-            .instance(i)
+        let stored = step
+            .post
             .rel(rel)
             .get(k)
             .expect("no-op insert implies presence");

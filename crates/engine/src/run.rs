@@ -6,6 +6,13 @@
 //! earlier instance). [`Run::push`] enforces all of this; [`Run::replay`]
 //! rebuilds a run from a bare event sequence, which is the primitive behind
 //! subruns and scenarios (Section 3).
+//!
+//! A run stores its history as **diffs**, not instances: the initial
+//! instance, the current one, and per event the diff `I_i − I_{i−1}` the
+//! transition emitted (a trace of changes is a complete, replayable record
+//! of the run — Cheney, Acar & Ahmed, *Provenance Traces*). A push mutates
+//! the current instance in place. Past instances are walked forward with a
+//! [`Cursor`], or rebuilt on demand by [`Run::instance`].
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -19,23 +26,27 @@ use cwf_model::{
 use crate::error::EngineError;
 use crate::event::Event;
 use crate::prov::ProvPlane;
-use crate::transition::apply_event_with_view;
+use crate::transition::{apply_event_in_place, Effect};
 use crate::view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 
-/// A run: spec, initial instance, events, and the instance after each event.
+/// A run: spec, initial instance, events, and the diff each event made.
 ///
 /// The run also owns the **view plane** — one incrementally maintained
-/// `ViewInstance` per peer, advanced by each push's emitted diff — and the
-/// per-event diffs themselves, which make visibility queries and run views
-/// delta-driven instead of `view_of` rescans.
+/// `ViewInstance` per peer, advanced by each push's emitted diff — and
+/// records at push time which peers each event was visible at, so
+/// visibility queries need no past instance.
 #[derive(Clone)]
 pub struct Run {
     spec: Arc<WorkflowSpec>,
     initial: Instance,
+    /// `I_n` (the initial instance for an empty run), mutated in place.
+    current: Instance,
     events: Vec<Event>,
-    instances: Vec<Instance>,
     /// `diffs[i] = I_i − I_{i−1}` (emitted by the transition, not rescanned).
     diffs: Vec<InstanceDiff>,
+    /// `seen_by[i]`: the peers event `i` is visible at, ascending — its
+    /// owner plus every peer whose view it changed.
+    seen_by: Vec<Box<[PeerId]>>,
     /// The incrementally maintained `I@p` for every peer, tracking
     /// [`Run::current`].
     plane: ViewPlane,
@@ -53,6 +64,36 @@ pub struct Run {
     prov: Option<ProvPlane>,
 }
 
+/// `const(P) ∪ adom(initial)`: the avoid-set of an empty run.
+fn base_avoid_set(spec: &WorkflowSpec, initial: &Instance) -> BTreeSet<Value> {
+    let mut out = spec.program().const_set();
+    out.remove(&Value::Null);
+    out.extend(initial.adom());
+    out
+}
+
+/// The global-freshness check of a push: head-only variables must take
+/// values outside `past_adom` (`const(P)` and all earlier instances). We
+/// additionally require *distinct* head-only variables of one event to take
+/// pairwise distinct values (a mild strengthening of the paper that lets
+/// rules rely on the distinctness of created keys).
+pub(crate) fn check_fresh(
+    spec: &WorkflowSpec,
+    past_adom: &BTreeSet<Value>,
+    event: &Event,
+) -> Result<(), EngineError> {
+    let rule = spec.program().rule(event.rule);
+    let mut seen_fresh: Vec<&Value> = Vec::new();
+    for var in rule.fresh_vars() {
+        let v = event.valuation.get(var).expect("valuation is total");
+        if past_adom.contains(v) || seen_fresh.contains(&v) {
+            return Err(EngineError::NotGloballyFresh { value: *v });
+        }
+        seen_fresh.push(v);
+    }
+    Ok(())
+}
+
 impl Run {
     /// An empty run starting from the empty instance (the paper's default).
     pub fn new(spec: Arc<WorkflowSpec>) -> Self {
@@ -62,20 +103,19 @@ impl Run {
 
     /// An empty run starting from an arbitrary initial instance.
     pub fn with_initial(spec: Arc<WorkflowSpec>, initial: Instance) -> Self {
-        let mut past_adom = spec.program().const_set();
-        past_adom.remove(&Value::Null);
+        let past_adom = base_avoid_set(&spec, &initial);
         let mut fresh = FreshGen::new();
         for v in initial.adom() {
             fresh.observe(&v);
-            past_adom.insert(v);
         }
         let plane = ViewPlane::new(spec.collab(), &initial);
         Run {
             spec,
+            current: initial.clone(),
             initial,
             events: Vec::new(),
-            instances: Vec::new(),
             diffs: Vec::new(),
+            seen_by: Vec::new(),
             plane,
             last_deltas: Vec::new(),
             past_adom,
@@ -119,23 +159,54 @@ impl Run {
         &self.events
     }
 
-    /// The instance `I_i` (after event `i`).
-    pub fn instance(&self, i: usize) -> &Instance {
-        &self.instances[i]
+    /// The instance `I_i` (after event `i`), rebuilt on demand from the
+    /// nearer end of the history. Readers that visit many past instances
+    /// walk a [`Run::cursor`] instead.
+    pub fn instance(&self, i: usize) -> Instance {
+        assert!(i < self.len(), "event {i} out of range");
+        self.state_after(i + 1)
     }
 
-    /// The instance *before* event `i` (`I_{i−1}`, or the initial instance).
-    pub fn pre_instance(&self, i: usize) -> &Instance {
-        if i == 0 {
-            &self.initial
+    /// The instance *before* event `i` (`I_{i−1}`, or the initial instance),
+    /// rebuilt on demand like [`Run::instance`].
+    pub fn pre_instance(&self, i: usize) -> Instance {
+        assert!(i < self.len(), "event {i} out of range");
+        self.state_after(i)
+    }
+
+    /// The instance after the first `n` events: replays `n` diffs onto the
+    /// initial instance or reverts `len − n` from the current one,
+    /// whichever is fewer.
+    fn state_after(&self, n: usize) -> Instance {
+        if n <= self.len() - n {
+            let mut inst = self.initial.clone();
+            for d in &self.diffs[..n] {
+                d.apply(&mut inst);
+            }
+            inst
         } else {
-            &self.instances[i - 1]
+            let mut inst = self.current.clone();
+            for d in self.diffs[n..].iter().rev() {
+                d.revert(&mut inst);
+            }
+            inst
+        }
+    }
+
+    /// A forward walk over the history, yielding each event with the
+    /// instances before and after it.
+    pub fn cursor(&self) -> Cursor<'_> {
+        Cursor {
+            run: self,
+            next: 0,
+            pre: self.initial.clone(),
+            post: self.initial.clone(),
         }
     }
 
     /// The final instance (or the initial one for an empty run).
     pub fn current(&self) -> &Instance {
-        self.instances.last().unwrap_or(&self.initial)
+        &self.current
     }
 
     /// Draws a value guaranteed globally fresh for this run.
@@ -171,68 +242,40 @@ impl Run {
     }
 
     /// Appends an event, enforcing the transition semantics and the global
-    /// freshness of head-only variable instantiations.
+    /// freshness of head-only variable instantiations. The current instance
+    /// is updated in place; on error the run is unchanged.
     pub fn push(&mut self, event: Event) -> Result<(), EngineError> {
-        // Freshness check first (cheap). Head-only variables must take
-        // values outside const(P) and all earlier instances; we additionally
-        // require *distinct* head-only variables of one event to take
-        // pairwise distinct values (a mild strengthening of the paper that
-        // lets rules rely on the distinctness of created keys).
-        let rule = self.spec.program().rule(event.rule);
-        let mut seen_fresh: Vec<&cwf_model::Value> = Vec::new();
-        for var in rule.fresh_vars() {
-            let v = event.valuation.get(var).expect("valuation is total");
-            if self.past_adom.contains(v) || seen_fresh.contains(&v) {
-                return Err(EngineError::NotGloballyFresh { value: *v });
-            }
-            seen_fresh.push(v);
-        }
-        let applied = apply_event_with_view(
+        check_fresh(&self.spec, &self.past_adom, &event)?;
+        let Effect { diff, noop_inserts } = apply_event_in_place(
             &self.spec,
-            self.current(),
+            &mut self.current,
             self.plane.view(event.peer),
             &event,
         )?;
-        let next = applied.instance;
-        let diff = applied.diff;
-        let noop_inserts = applied.noop_inserts;
         // Commit. The avoid-set grows incrementally: a push can only
         // introduce values through created tuples and modification
         // after-values (deletions and before-values are already in
         // past_adom by induction).
-        for (_, t) in &diff.created {
-            for v in t.values() {
-                if !v.is_null() {
-                    self.fresh.observe(v);
-                    if !self.past_adom.contains(v) {
-                        self.past_adom.insert(*v);
-                    }
-                }
-            }
-        }
-        for (_, _, changes) in &diff.modified {
-            for c in changes {
-                if !c.after.is_null() {
-                    self.fresh.observe(&c.after);
-                    if !self.past_adom.contains(&c.after) {
-                        self.past_adom.insert(c.after);
-                    }
-                }
-            }
+        for v in diff.written_values() {
+            self.fresh.observe(v);
+            self.past_adom.insert(*v);
         }
         debug_assert!(
-            next.adom().iter().all(|v| self.past_adom.contains(v)),
+            self.current
+                .adom()
+                .iter()
+                .all(|v| self.past_adom.contains(v)),
             "incremental avoid-set must cover the full active domain"
         );
         for v in event.adom(&self.spec) {
             self.fresh.observe(&v);
         }
-        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &next);
+        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &self.current);
         #[cfg(debug_assertions)]
         for p in self.spec.collab().peer_ids() {
             debug_assert_eq!(
                 self.plane.view(p),
-                &self.spec.collab().view_of(&next, p),
+                &self.spec.collab().view_of(&self.current, p),
                 "view plane must track view_of"
             );
         }
@@ -246,8 +289,13 @@ impl Run {
                 &self.last_deltas,
             );
         }
+        // Visible at the owner and wherever the view changed (Section 3).
+        let mut seen_by: Vec<PeerId> = self.last_deltas.iter().map(|(p, _)| *p).collect();
+        if let Err(at) = seen_by.binary_search(&event.peer) {
+            seen_by.insert(at, event.peer);
+        }
+        self.seen_by.push(seen_by.into_boxed_slice());
         self.events.push(event);
-        self.instances.push(next);
         self.diffs.push(diff);
         Ok(())
     }
@@ -329,26 +377,24 @@ impl Run {
         &self.diffs[i]
     }
 
-    /// Removes the last event and its instance, returning the event. Used
-    /// to roll a just-pushed event back out of memory when it could not be
-    /// made durable. The avoid-set is rebuilt without the popped instance,
-    /// so resubmitting the same event (same fresh values) is accepted; the
+    /// Removes the last event, reverting its diff from the current
+    /// instance, and returns it. Used to roll a just-pushed event back out
+    /// of memory when it could not be made durable. The avoid-set is
+    /// rebuilt from the initial instance and the remaining diffs, so
+    /// resubmitting the same event (same fresh values) is accepted; the
     /// fresh-value *generator* is not rewound — it only over-avoids, which
     /// is harmless.
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
-        self.instances.pop().expect("events and instances in step");
-        self.diffs.pop().expect("events and diffs in step");
-        let mut keep = self.spec.program().const_set();
-        keep.remove(&Value::Null);
-        keep.extend(self.initial.adom());
-        for inst in &self.instances {
-            keep.extend(inst.adom());
-        }
+        let diff = self.diffs.pop().expect("events and diffs in step");
+        self.seen_by.pop().expect("events and visibility in step");
+        diff.revert(&mut self.current);
+        let mut keep = base_avoid_set(&self.spec, &self.initial);
+        keep.extend(self.diffs.iter().flat_map(InstanceDiff::written_values));
         self.past_adom = keep;
         // Popping is the rare durability-failure path: rebuild the plane
         // from the restored current instance rather than inverting deltas.
-        self.plane = ViewPlane::new(self.spec.collab(), self.current());
+        self.plane = ViewPlane::new(self.spec.collab(), &self.current);
         self.last_deltas.clear();
         // The provenance plane has no delta inverse either: rebuild it from
         // the truncated history.
@@ -386,13 +432,9 @@ impl Run {
     }
 
     /// Is event `i` visible at `peer`? (`peer(e_i) = p` or
-    /// `I_{i−1}@p ≠ I_i@p`, Section 3.)
+    /// `I_{i−1}@p ≠ I_i@p`, Section 3.) Recorded when the event was pushed.
     pub fn visible_at(&self, i: usize, peer: PeerId) -> bool {
-        if self.events[i].peer == peer {
-            return true;
-        }
-        let collab = self.spec.collab();
-        !peer_delta(collab, peer, &self.diffs[i], self.instance(i)).is_empty()
+        self.seen_by[i].contains(&peer)
     }
 
     /// The positions of the events visible at `peer`.
@@ -410,24 +452,87 @@ impl Run {
         let collab = self.spec.collab();
         let mut steps = Vec::new();
         let mut cur = materialize_view(collab, peer, &self.initial);
-        for i in 0..self.len() {
-            let delta = peer_delta(collab, peer, &self.diffs[i], self.instance(i));
-            let changed = !delta.is_empty();
-            delta.apply_to_view(&mut cur);
-            let own = self.events[i].peer == peer;
-            if own || changed {
-                steps.push(ViewStep {
-                    index: i,
-                    event: if own {
-                        EventView::Own(self.events[i].clone())
-                    } else {
-                        EventView::World
-                    },
-                    view: cur.clone(),
-                });
+        let mut cursor = self.cursor();
+        while let Some(step) = cursor.next() {
+            // An invisible event leaves the view unchanged.
+            if !self.visible_at(step.index, peer) {
+                continue;
             }
+            peer_delta(collab, peer, step.diff, step.post).apply_to_view(&mut cur);
+            steps.push(ViewStep {
+                index: step.index,
+                event: if step.event.peer == peer {
+                    EventView::Own(step.event.clone())
+                } else {
+                    EventView::World
+                },
+                view: cur.clone(),
+            });
         }
         RunView { peer, steps }
+    }
+}
+
+/// One event of a run's history with the instances around it, as yielded
+/// by a [`Cursor`].
+#[derive(Debug, Clone, Copy)]
+pub struct Step<'a> {
+    /// The event's position `i`.
+    pub index: usize,
+    /// `e_i`.
+    pub event: &'a Event,
+    /// `I_i − I_{i−1}`.
+    pub diff: &'a InstanceDiff,
+    /// `I_{i−1}` (the initial instance for `i = 0`).
+    pub pre: &'a Instance,
+    /// `I_i`.
+    pub post: &'a Instance,
+}
+
+/// A forward walk over a run's history ([`Run::cursor`]). It holds two
+/// instances and advances each by one stored diff per step, so a walk over
+/// the whole run costs two clones of the initial instance plus twice the
+/// size of the diffs.
+pub struct Cursor<'a> {
+    run: &'a Run,
+    /// The position of the next step.
+    next: usize,
+    /// `I_{next−2}` (the initial instance before the first step): it
+    /// trails `post` by one diff.
+    pre: Instance,
+    /// `I_{next−1}`.
+    post: Instance,
+}
+
+impl Cursor<'_> {
+    /// Moves to the next event and returns it, or `None` past the end.
+    #[allow(clippy::should_implement_trait)] // a lending walk, not an Iterator
+    pub fn next(&mut self) -> Option<Step<'_>> {
+        let i = self.next;
+        self.seek(i)
+    }
+
+    /// Moves forward to event `i` and returns it; `i` may also be the event
+    /// returned last. `None` when `i` is past the end.
+    pub fn seek(&mut self, i: usize) -> Option<Step<'_>> {
+        assert!(i + 1 >= self.next, "cursors only move forward");
+        if i >= self.run.len() {
+            return None;
+        }
+        while self.next <= i {
+            if self.next > 0 {
+                self.run.diffs[self.next - 1].apply(&mut self.pre);
+            }
+            self.run.diffs[self.next].apply(&mut self.post);
+            self.next += 1;
+        }
+        Some(Step {
+            index: i,
+            event: &self.run.events[i],
+            diff: &self.run.diffs[i],
+            pre: &self.pre,
+            post: &self.post,
+        })
     }
 }
 
@@ -569,8 +674,25 @@ mod tests {
         assert!(run.initial().is_empty());
         assert_eq!(run.instance(0).total_tuples(), 1);
         assert_eq!(run.current().total_tuples(), 3);
-        assert_eq!(run.pre_instance(0), run.initial());
+        assert_eq!(&run.pre_instance(0), run.initial());
         assert_eq!(run.pre_instance(2), run.instance(1));
+        assert_eq!(&run.instance(2), run.current());
+        // The cursor walks the same instances forward.
+        let mut history = run.cursor();
+        for i in 0..3 {
+            let step = history.next().expect("three events");
+            assert_eq!(step.index, i);
+            assert_eq!(step.pre, &run.pre_instance(i));
+            assert_eq!(step.post, &run.instance(i));
+            assert_eq!(step.diff, run.diff(i));
+        }
+        assert!(history.next().is_none());
+        // Seeking forward skips steps; re-seeking the last one is allowed.
+        let mut history = run.cursor();
+        assert_eq!(history.seek(1).unwrap().post, &run.instance(1));
+        assert_eq!(history.seek(1).unwrap().pre, &run.instance(0));
+        assert_eq!(history.seek(2).unwrap().post, run.current());
+        assert!(history.seek(3).is_none());
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //!
 //! The branch-and-bound searches of `cwf-core` replay event subsequences
 //! millions of times. A full [`Run`] is the wrong vehicle for that: it keeps
-//! every intermediate instance and diff, so cloning one at each search node
-//! is O(history), and the old search recomputed `view_of` per step on top.
+//! every event and diff, so cloning one at each search node is O(history),
+//! and the old search recomputed `view_of` per step on top.
 //!
 //! [`ScratchRun`] keeps exactly the state needed to decide whether the next
 //! event applies and what each peer observes of it: the current instance,
 //! the incrementally maintained view plane, and the freshness avoid-set.
-//! Cloning is O(current state); a push is one transition plus delta
-//! propagation. [`ScratchRun::try_push`] accepts and rejects exactly the
-//! events [`Run::push`] would — same freshness check, same transition, in
-//! the same order — so searches driven by either are decision-identical.
+//! Cloning is O(current state); a push is one in-place transition plus
+//! delta propagation, with no copy of the instance.
+//! [`ScratchRun::try_push`] accepts and rejects exactly the events
+//! [`Run::push`] would — the same freshness check and the same transition,
+//! in the same order — so searches driven by either are decision-identical.
 //!
 //! Search arenas reuse scratch states across sibling branches via
 //! `Clone::clone_from`, which the columnar stores turn into buffer reuse
@@ -25,8 +26,8 @@ use cwf_model::{Instance, PeerId, Value, ViewInstance};
 
 use crate::error::EngineError;
 use crate::event::Event;
-use crate::run::Run;
-use crate::transition::apply_event_with_view;
+use crate::run::{check_fresh, Run};
+use crate::transition::apply_event_in_place;
 use crate::view_plane::{ViewDelta, ViewPlane};
 
 /// A replayed subrun reduced to its live state: no event history, no
@@ -103,39 +104,16 @@ impl ScratchRun {
     /// the global-freshness check first, then the transition evaluated on
     /// the acting peer's maintained view. On error the state is untouched.
     pub fn try_push(&mut self, event: &Event) -> Result<(), EngineError> {
-        let rule = self.spec.program().rule(event.rule);
-        let mut seen_fresh: Vec<&Value> = Vec::new();
-        for var in rule.fresh_vars() {
-            let v = event.valuation.get(var).expect("valuation is total");
-            if self.past_adom.contains(v) || seen_fresh.contains(&v) {
-                return Err(EngineError::NotGloballyFresh { value: *v });
-            }
-            seen_fresh.push(v);
-        }
-        let applied = apply_event_with_view(
+        check_fresh(&self.spec, &self.past_adom, event)?;
+        let diff = apply_event_in_place(
             &self.spec,
-            &self.current,
+            &mut self.current,
             self.plane.view(event.peer),
             event,
-        )?;
-        let next = applied.instance;
-        let diff = applied.diff;
-        for (_, t) in &diff.created {
-            for v in t.values() {
-                if !v.is_null() && !self.past_adom.contains(v) {
-                    self.past_adom.insert(*v);
-                }
-            }
-        }
-        for (_, _, changes) in &diff.modified {
-            for c in changes {
-                if !c.after.is_null() && !self.past_adom.contains(&c.after) {
-                    self.past_adom.insert(c.after);
-                }
-            }
-        }
-        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &next);
-        self.current = next;
+        )?
+        .diff;
+        self.past_adom.extend(diff.written_values());
+        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &self.current);
         self.len += 1;
         Ok(())
     }

@@ -11,24 +11,28 @@
 //!
 //! The distinct-update condition on rules guarantees that the updates of one
 //! event touch pairwise distinct keys, making their order irrelevant.
+//!
+//! The engine applies events **in place** ([`apply_event_in_place`],
+//! [`apply_updates_in_place`]): each update touches one key, the insertion
+//! chase is key-local ([`chase_insert`]), and a failing event is rolled back
+//! by restoring the few keys it touched. An admission therefore costs
+//! O(|updates| · log |I|), not O(|I|). [`apply_event_with_view`] and
+//! [`apply_updates`] are the same transition on a clone, for callers that
+//! keep the pre-state.
 
 use cwf_lang::WorkflowSpec;
-use cwf_model::{chase_with, AttrChange, Instance, InstanceDiff, PeerId, ViewInstance};
+use cwf_model::{chase_insert, Instance, InstanceDiff, PeerId, RelId, Tuple, Value, ViewInstance};
 
 use crate::error::EngineError;
 use crate::eval::check_body;
 use crate::event::{Event, GroundUpdate};
 use crate::view_plane::peer_delta;
 
-/// The result of a successful transition: the successor instance plus the
-/// tuple-level delta it induced — the currency of the incremental view
-/// plane. The diff is emitted *while applying* the updates (the
-/// distinct-update condition on rules makes per-update changes independent),
-/// not recomputed by a full instance scan.
-#[derive(Debug, Clone)]
-pub struct Applied {
-    /// The successor instance `J`.
-    pub instance: Instance,
+/// What an in-place transition did to the instance: the tuple-level delta
+/// it induced — the currency of the incremental view plane and of the run
+/// history — plus its no-op insertions.
+#[derive(Debug, Clone, Default)]
+pub struct Effect {
     /// `J − I`, normalized to `(rel, key)` order — identical to what
     /// [`InstanceDiff::between`] would compute.
     pub diff: InstanceDiff,
@@ -38,14 +42,36 @@ pub struct Applied {
     /// the unchanged fact. The flag is true when the padded insert equals
     /// the stored tuple outright (the insert alone determines the fact's
     /// full content), which gates the alternative's soundness.
-    pub noop_inserts: Vec<(cwf_model::RelId, cwf_model::Value, bool)>,
+    pub noop_inserts: Vec<(RelId, Value, bool)>,
+}
+
+/// The result of a successful transition on a copy: the successor instance
+/// plus the transition's [`Effect`], flattened.
+#[derive(Debug, Clone)]
+pub struct Applied {
+    /// The successor instance `J`.
+    pub instance: Instance,
+    /// `J − I`, as in [`Effect::diff`].
+    pub diff: InstanceDiff,
+    /// As in [`Effect::noop_inserts`].
+    pub noop_inserts: Vec<(RelId, Value, bool)>,
+}
+
+impl Applied {
+    fn new(instance: Instance, effect: Effect) -> Applied {
+        Applied {
+            instance,
+            diff: effect.diff,
+            noop_inserts: effect.noop_inserts,
+        }
+    }
 }
 
 /// Applies `event` to `instance`, returning the successor instance.
 ///
 /// This is the from-scratch **reference implementation**: it rescans the
 /// instance to materialize the acting peer's view. The engine's own hot
-/// path is [`apply_event_with_view`], fed by the maintained view plane;
+/// path is [`apply_event_in_place`], fed by the maintained view plane;
 /// this wrapper remains for the analysis/design crates and for differential
 /// testing.
 pub fn apply_event(
@@ -57,19 +83,32 @@ pub fn apply_event(
     apply_event_with_view(spec, instance, &view, event).map(|a| a.instance)
 }
 
-/// Applies `event` to `instance`, checking the body against the caller's
-/// (incrementally maintained) materialization of the acting peer's view.
-/// Returns the successor instance together with the emitted diff.
-///
-/// Checks the body condition and every update's applicability. Does **not**
-/// check global freshness of head-only values — that is a run-level property
-/// enforced by [`crate::run::Run::push`].
+/// [`apply_event_in_place`] on a clone of `instance`: returns the successor
+/// instance together with the emitted diff.
 pub fn apply_event_with_view(
     spec: &WorkflowSpec,
     instance: &Instance,
     view: &ViewInstance,
     event: &Event,
 ) -> Result<Applied, EngineError> {
+    let mut next = instance.clone();
+    let effect = apply_event_in_place(spec, &mut next, view, event)?;
+    Ok(Applied::new(next, effect))
+}
+
+/// Applies `event` to `instance` in place, checking the body against the
+/// caller's (incrementally maintained) materialization of the acting peer's
+/// view. On error the instance is unchanged.
+///
+/// Checks the body condition and every update's applicability. Does **not**
+/// check global freshness of head-only values — that is a run-level property
+/// enforced by [`crate::run::Run::push`].
+pub fn apply_event_in_place(
+    spec: &WorkflowSpec,
+    instance: &mut Instance,
+    view: &ViewInstance,
+    event: &Event,
+) -> Result<Effect, EngineError> {
     let rule = spec.program().rule(event.rule);
     if event.valuation.len() != rule.vars.len() || !event.valuation.is_total() {
         return Err(EngineError::IncompleteValuation { rule: event.rule });
@@ -77,112 +116,130 @@ pub fn apply_event_with_view(
     if !check_body(rule, view, &event.valuation) {
         return Err(EngineError::BodyNotSatisfied { rule: event.rule });
     }
-    apply_updates(spec, instance, event.peer, &event.ground_updates(spec))
+    apply_updates_in_place(spec, instance, event.peer, &event.ground_updates(spec))
 }
 
-/// Applies a list of ground updates issued by `peer` (all checks of the
-/// update semantics, no body check), emitting the induced diff alongside
-/// the successor instance. Exposed for the view-program runtime of
-/// Section 5, whose ω-events are update bundles.
-///
-/// No peer view is materialized: delete visibility and insert subsumption
-/// are decided on the single affected tuple (the key chase only ever merges
-/// into the tuple sharing the inserted key, so per-update effects are
-/// local), and the distinct-update condition keeps the per-update diff
-/// entries disjoint.
+/// [`apply_updates_in_place`] on a clone of `instance`. Exposed for the
+/// view-program runtime of Section 5, whose ω-events are update bundles.
 pub fn apply_updates(
     spec: &WorkflowSpec,
     instance: &Instance,
     peer: PeerId,
     updates: &[GroundUpdate],
 ) -> Result<Applied, EngineError> {
-    let schema = spec.collab().schema();
-    let mut current = instance.clone();
-    let mut diff = InstanceDiff::default();
+    let mut next = instance.clone();
+    let effect = apply_updates_in_place(spec, &mut next, peer, updates)?;
+    Ok(Applied::new(next, effect))
+}
+
+/// Applies a list of ground updates issued by `peer` to `instance` in
+/// place (all checks of the update semantics, no body check), returning
+/// the induced diff. On error every update already applied is undone, so
+/// the instance is unchanged.
+///
+/// No peer view is materialized: delete visibility and insert subsumption
+/// are decided on the single affected tuple (the key chase only ever merges
+/// into the tuple sharing the inserted key, so per-update effects are
+/// local), and the distinct-update condition keeps the per-update diff
+/// entries disjoint.
+pub fn apply_updates_in_place(
+    spec: &WorkflowSpec,
+    instance: &mut Instance,
+    peer: PeerId,
+    updates: &[GroundUpdate],
+) -> Result<Effect, EngineError> {
+    #[cfg(debug_assertions)]
+    let before = instance.clone();
+    // The tuple each applied update found under its key, in order.
+    let mut touched: Vec<(RelId, Value, Option<Tuple>)> = Vec::with_capacity(updates.len());
     let mut noop_inserts = Vec::new();
     for upd in updates {
-        match upd {
-            GroundUpdate::Delete { rel, key } => {
-                // The peer must see the tuple it deletes: a tuple with that
-                // key exists and the peer's selection admits it.
-                let vr = spec.collab().view(peer, *rel);
-                let visible =
-                    vr.is_some_and(|vr| current.rel(*rel).get(key).is_some_and(|t| vr.selects(t)));
-                if !visible {
-                    return Err(EngineError::DeleteInvisible {
-                        rel: *rel,
-                        key: *key,
-                    });
+        if let Err(e) = apply_update(spec, instance, peer, upd, &mut touched, &mut noop_inserts) {
+            for (rel, key, prev) in touched.into_iter().rev() {
+                match prev {
+                    Some(t) => {
+                        instance
+                            .rel_mut(rel)
+                            .insert(t)
+                            .expect("stored keys are non-null");
+                    }
+                    None => {
+                        instance.rel_mut(rel).remove(&key);
+                    }
                 }
-                let removed = current
-                    .rel_mut(*rel)
-                    .remove(key)
-                    .expect("visibility implies presence");
-                diff.deleted.push((*rel, removed));
             }
-            GroundUpdate::Insert { rel, view_tuple } => {
-                let vr = spec
-                    .collab()
-                    .view(peer, *rel)
-                    .expect("validated events only update visible relations");
-                let arity = schema.relation(*rel).arity();
-                let padded = vr.pad(view_tuple, arity);
-                // (i) the chase must produce a valid instance.
-                let next = chase_with(schema, &current, *rel, padded)?;
-                // (ii) the inserted tuple must appear (subsumed) in the
-                // peer's updated view: the merged tuple must satisfy the
-                // selection and its projection must subsume the insert.
-                let merged = next.rel(*rel).get(view_tuple.key());
-                let subsumed =
-                    merged.is_some_and(|t| vr.selects(t) && view_tuple.subsumed_by(&vr.project(t)));
-                if !subsumed {
-                    return Err(EngineError::InsertNotSubsumed {
-                        rel: *rel,
-                        key: *view_tuple.key(),
-                    });
-                }
-                // Emit the key's change: created, modified, or no-op.
-                let merged = merged.expect("subsumption implies presence");
-                match current.rel(*rel).get(view_tuple.key()) {
-                    None => diff.created.push((*rel, merged.clone())),
-                    Some(old) if old != merged => {
-                        let changes: Vec<AttrChange> = old
-                            .entries()
-                            .filter(|(a, v)| merged.get(*a) != *v)
-                            .map(|(a, v)| AttrChange {
-                                attr: a,
-                                before: *v,
-                                after: *merged.get(a),
-                            })
-                            .collect();
-                        diff.modified.push((*rel, *view_tuple.key(), changes));
-                    }
-                    Some(_) => {
-                        let exact = vr.pad(view_tuple, arity) == *merged;
-                        noop_inserts.push((*rel, *view_tuple.key(), exact));
-                    }
-                }
-                current = next;
+            #[cfg(debug_assertions)]
+            debug_assert!(*instance == before, "a failed transition must be undone");
+            return Err(e);
+        }
+    }
+    let mut diff = InstanceDiff::default();
+    for (rel, key, prev) in &touched {
+        diff.record(*rel, prev.as_ref(), instance.rel(*rel).get(key));
+    }
+    diff.normalize();
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        diff,
+        InstanceDiff::between(&before, instance),
+        "emitted diff must agree with the from-scratch diff"
+    );
+    Ok(Effect { diff, noop_inserts })
+}
+
+/// Applies one update in place, recording the key's previous tuple in
+/// `touched` as soon as the instance changes.
+fn apply_update(
+    spec: &WorkflowSpec,
+    instance: &mut Instance,
+    peer: PeerId,
+    upd: &GroundUpdate,
+    touched: &mut Vec<(RelId, Value, Option<Tuple>)>,
+    noop_inserts: &mut Vec<(RelId, Value, bool)>,
+) -> Result<(), EngineError> {
+    match upd {
+        GroundUpdate::Delete { rel, key } => {
+            // The peer must see the tuple it deletes: a tuple with that
+            // key exists and the peer's selection admits it.
+            let vr = spec.collab().view(peer, *rel);
+            let visible =
+                vr.is_some_and(|vr| instance.rel(*rel).get(key).is_some_and(|t| vr.selects(t)));
+            if !visible {
+                return Err(EngineError::DeleteInvisible {
+                    rel: *rel,
+                    key: *key,
+                });
+            }
+            let removed = instance.rel_mut(*rel).remove(key);
+            touched.push((*rel, *key, removed));
+        }
+        GroundUpdate::Insert { rel, view_tuple } => {
+            let vr = spec
+                .collab()
+                .view(peer, *rel)
+                .expect("validated events only update visible relations");
+            let arity = spec.collab().schema().relation(*rel).arity();
+            let key = *view_tuple.key();
+            // (i) the chase must produce a valid instance.
+            let prev = chase_insert(instance, *rel, vr.pad(view_tuple, arity))?;
+            touched.push((*rel, key, prev));
+            // (ii) the inserted tuple must appear (subsumed) in the
+            // peer's updated view: the merged tuple must satisfy the
+            // selection and its projection must subsume the insert.
+            let merged = instance.rel(*rel).get(&key);
+            let subsumed =
+                merged.is_some_and(|t| vr.selects(t) && view_tuple.subsumed_by(&vr.project(t)));
+            let Some(merged) = merged.filter(|_| subsumed) else {
+                return Err(EngineError::InsertNotSubsumed { rel: *rel, key });
+            };
+            let prev = touched.last().and_then(|(_, _, prev)| prev.as_ref());
+            if prev == Some(merged) {
+                let exact = vr.pad(view_tuple, arity) == *merged;
+                noop_inserts.push((*rel, key, exact));
             }
         }
     }
-    // Normalize to (rel, key) order so the emitted diff is byte-identical
-    // to InstanceDiff::between(instance, &current).
-    diff.created
-        .sort_by(|a, b| (a.0, a.1.key()).cmp(&(b.0, b.1.key())));
-    diff.deleted
-        .sort_by(|a, b| (a.0, a.1.key()).cmp(&(b.0, b.1.key())));
-    diff.modified.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    debug_assert_eq!(
-        diff,
-        InstanceDiff::between(instance, &current),
-        "emitted diff must agree with the from-scratch diff"
-    );
-    Ok(Applied {
-        instance: current,
-        diff,
-        noop_inserts,
-    })
+    Ok(())
 }
 
 /// Is `event` (with pre-state `pre` and post-state `post`) *visible* at

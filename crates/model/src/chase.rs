@@ -10,9 +10,15 @@
 //! instance contains no two tuples with the same key and distinct non-null
 //! values for the same attribute, in which case the result is unique.
 //!
-//! [`chase`] implements that characterization directly (group by key, merge
-//! attribute-wise, fail on conflicts); [`naive_chase`] implements the literal
-//! step-by-step fixpoint and is used to cross-check the closed form in tests.
+//! [`chase_insert`] is the engine's path: the insertion chase
+//! `chase_K(I ∪ {R(t)})` of a valid `I`, done in place. Only the one tuple
+//! sharing `t`'s key can merge with `t`, so it costs one lookup and one merge
+//! instead of a re-chase of `I`.
+//!
+//! [`chase`] implements the characterization in closed form (group by key,
+//! merge attribute-wise, fail on conflicts) and [`naive_chase`] the literal
+//! step-by-step fixpoint. Both are kept as test oracles for the key-local
+//! chase and for each other.
 
 use std::fmt;
 
@@ -102,24 +108,63 @@ fn chase_relation(rel: RelId, tuples: &[Tuple]) -> Result<Relation, ChaseFailure
     Ok(out)
 }
 
-/// Convenience: `chase_K(I ∪ {R(t)})` for a valid `I` and one extra tuple —
-/// exactly the shape used by the insertion semantics.
+/// The key-local insertion chase, in place: `I := chase_K(I ∪ {R(t)})` for
+/// a valid `I`.
+///
+/// Returns the tuple previously stored under `t`'s key (`None` for a fresh
+/// key). On failure — a `⊥` key, or a non-null value of `t` that differs
+/// from the stored one — the instance is left unchanged. The result equals
+/// [`chase`] of `I ∪ {R(t)}`.
+pub fn chase_insert(
+    instance: &mut Instance,
+    rel: RelId,
+    t: Tuple,
+) -> Result<Option<Tuple>, ChaseFailure> {
+    let key = *t.key();
+    if key.is_null() {
+        return Err(ChaseFailure::NullKey { rel });
+    }
+    let store = instance.rel_mut(rel);
+    let Some(old) = store.get(&key) else {
+        store.insert(t).expect("key checked non-null above");
+        return Ok(None);
+    };
+    let mut merged = old.clone();
+    for (a, v) in t.entries() {
+        let cur = merged.get(a);
+        if v.is_null() || cur == v {
+            continue;
+        }
+        if !cur.is_null() {
+            return Err(ChaseFailure::Conflict { rel, key });
+        }
+        merged.set(a, *v);
+    }
+    if &merged == old {
+        return Ok(Some(merged));
+    }
+    Ok(store.insert(merged).expect("key checked non-null above"))
+}
+
+/// `chase_K(I ∪ {R(t)})` for a valid `I` and one extra tuple, as a new
+/// instance: a clone of `base` followed by [`chase_insert`].
 pub fn chase_with(
     schema: &Schema,
     base: &Instance,
     rel: RelId,
     extra: Tuple,
 ) -> Result<Instance, ChaseFailure> {
-    let mut raw = RawInstance::from_instance(base);
-    raw.push(rel, extra);
-    chase(schema, &raw)
+    debug_assert_eq!(base.width(), schema.len());
+    let mut out = base.clone();
+    chase_insert(&mut out, rel, extra)?;
+    Ok(out)
 }
 
 /// The literal step-by-step chase fixpoint from the paper, applied until no
 /// step fires, followed by duplicate elimination and a validity check.
 ///
 /// Exponentially slower in the worst case than [`chase`]; retained to
-/// cross-check the closed form (see the property tests).
+/// cross-check the closed form and [`chase_insert`] (see the property tests).
 pub fn naive_chase(schema: &Schema, raw: &RawInstance) -> Result<Instance, ChaseFailure> {
     let mut rels: Vec<Vec<Tuple>> = (0..raw.width())
         .map(|i| raw.rel(RelId(i as u32)).to_vec())
@@ -266,6 +311,40 @@ mod tests {
             j.rel(R).get(&Value::str("k")),
             Some(&t("k", Some("a"), Some("c")))
         );
+    }
+
+    #[test]
+    fn chase_insert_agrees_with_the_closed_form() {
+        let s = schema();
+        let mut base = Instance::empty(&s);
+        base.rel_mut(R).insert(t("k", Some("a"), None)).unwrap();
+        base.rel_mut(R)
+            .insert(t("j", Some("a"), Some("b")))
+            .unwrap();
+        for extra in [
+            t("k", None, Some("c")),                                 // merge into a null
+            t("k", Some("x"), None),                                 // conflict
+            t("k", Some("a"), None),                                 // identical duplicate
+            t("n", Some("a"), None),                                 // fresh key
+            t("j", None, None),                                      // subsumed by the stored tuple
+            Tuple::new([Value::Null, Value::str("a"), Value::Null]), // ⊥ key
+        ] {
+            let mut raw = RawInstance::from_instance(&base);
+            raw.push(R, extra.clone());
+            let want = chase(&s, &raw);
+            let mut got = base.clone();
+            let prev = chase_insert(&mut got, R, extra.clone());
+            match want {
+                Ok(want) => {
+                    assert_eq!(got, want, "{extra:?}");
+                    assert_eq!(prev.unwrap().as_ref(), base.rel(R).get(extra.key()));
+                }
+                Err(e) => {
+                    assert_eq!(prev, Err(e), "{extra:?}");
+                    assert_eq!(got, base, "a failed chase leaves the instance unchanged");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,37 +37,108 @@ pub struct InstanceDiff {
 }
 
 impl InstanceDiff {
-    /// Computes `after − before`.
+    /// Computes `after − before` by scanning both instances — the
+    /// from-scratch reference for the diffs the transition emits.
     pub fn between(before: &Instance, after: &Instance) -> InstanceDiff {
         debug_assert_eq!(before.width(), after.width());
         let mut out = InstanceDiff::default();
         for r in 0..before.width() {
             let rel = RelId(r as u32);
             for t in after.rel(rel).iter() {
-                match before.rel(rel).get(t.key()) {
-                    None => out.created.push((rel, t.clone())),
-                    Some(old) if old != t => {
-                        let changes: Vec<AttrChange> = old
-                            .entries()
-                            .filter(|(a, v)| t.get(*a) != *v)
-                            .map(|(a, v)| AttrChange {
-                                attr: a,
-                                before: *v,
-                                after: *t.get(a),
-                            })
-                            .collect();
-                        out.modified.push((rel, *t.key(), changes));
-                    }
-                    Some(_) => {}
-                }
+                out.record(rel, before.rel(rel).get(t.key()), Some(t));
             }
             for t in before.rel(rel).iter() {
                 if !after.rel(rel).contains_key(t.key()) {
-                    out.deleted.push((rel, t.clone()));
+                    out.record(rel, Some(t), None);
                 }
             }
         }
         out
+    }
+
+    /// Adds the change of one key from `before` to `after` (`None`: no tuple
+    /// under the key): a creation, a deletion, a modification listing the
+    /// differing attributes, or nothing when the tuples are equal.
+    pub fn record(&mut self, rel: RelId, before: Option<&Tuple>, after: Option<&Tuple>) {
+        match (before, after) {
+            (None, Some(t)) => self.created.push((rel, t.clone())),
+            (Some(t), None) => self.deleted.push((rel, t.clone())),
+            (Some(old), Some(new)) if old != new => {
+                let changes = old
+                    .entries()
+                    .filter(|(a, v)| new.get(*a) != *v)
+                    .map(|(a, v)| AttrChange {
+                        attr: a,
+                        before: *v,
+                        after: *new.get(a),
+                    })
+                    .collect();
+                self.modified.push((rel, *new.key(), changes));
+            }
+            _ => {}
+        }
+    }
+
+    /// Sorts every part by `(rel, key)`, the order [`InstanceDiff::between`]
+    /// produces.
+    pub fn normalize(&mut self) {
+        self.created
+            .sort_by(|a, b| (a.0, a.1.key()).cmp(&(b.0, b.1.key())));
+        self.deleted
+            .sort_by(|a, b| (a.0, a.1.key()).cmp(&(b.0, b.1.key())));
+        self.modified.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    }
+
+    /// Turns `before` into `after` in place, where `self` is
+    /// `after − before`.
+    pub fn apply(&self, instance: &mut Instance) {
+        self.shift(instance, true);
+    }
+
+    /// Turns `after` back into `before` in place, where `self` is
+    /// `after − before`: the inverse of [`InstanceDiff::apply`], using the
+    /// removed tuples and [`AttrChange::before`].
+    pub fn revert(&self, instance: &mut Instance) {
+        self.shift(instance, false);
+    }
+
+    /// Moves `instance` across the diff, forward or back.
+    fn shift(&self, instance: &mut Instance, forward: bool) {
+        let (gone, come) = if forward {
+            (&self.deleted, &self.created)
+        } else {
+            (&self.created, &self.deleted)
+        };
+        for (rel, t) in gone {
+            instance.rel_mut(*rel).remove(t.key());
+        }
+        for (rel, key, changes) in &self.modified {
+            let t = instance
+                .rel_mut(*rel)
+                .get_mut(key)
+                .expect("a modified key is present on both sides of the diff");
+            for c in changes {
+                t.set(c.attr, if forward { c.after } else { c.before });
+            }
+        }
+        for (rel, t) in come {
+            instance
+                .rel_mut(*rel)
+                .insert(t.clone())
+                .expect("stored tuples have non-null keys");
+        }
+    }
+
+    /// The non-null values the diff writes: those of created tuples and the
+    /// after-values of modifications. Every value of `after` is in `before`
+    /// or among these.
+    pub fn written_values(&self) -> impl Iterator<Item = &Value> {
+        let created = self.created.iter().flat_map(|(_, t)| t.values());
+        let modified = self
+            .modified
+            .iter()
+            .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
+        created.chain(modified).filter(|v| !v.is_null())
     }
 
     /// Is there no difference?
@@ -175,6 +246,28 @@ mod tests {
         assert!(shown.contains("+R(3, \"n\")"));
         assert!(shown.contains("-R(2, \"x\")"));
         assert!(shown.contains("~R[1] A: ⊥→\"a\""));
+    }
+
+    #[test]
+    fn apply_and_revert_invert_each_other() {
+        let s = schema();
+        let mut before = Instance::empty(&s);
+        before.rel_mut(R).insert(t(1, None)).unwrap();
+        before.rel_mut(R).insert(t(2, Some("x"))).unwrap();
+        let mut after = Instance::empty(&s);
+        after.rel_mut(R).insert(t(1, Some("a"))).unwrap();
+        after.rel_mut(R).insert(t(3, Some("n"))).unwrap();
+        let d = InstanceDiff::between(&before, &after);
+        let mut i = before.clone();
+        d.apply(&mut i);
+        assert_eq!(i, after);
+        d.revert(&mut i);
+        assert_eq!(i, before);
+        let written: Vec<_> = d.written_values().copied().collect();
+        assert_eq!(
+            written,
+            vec![Value::int(3), Value::str("n"), Value::str("a")]
+        );
     }
 
     #[test]

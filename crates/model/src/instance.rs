@@ -53,6 +53,12 @@ impl Relation {
         self.tuples.contains_key(k)
     }
 
+    /// Mutable access to the tuple with key `k`. Callers must not change
+    /// the tuple's key.
+    pub(crate) fn get_mut(&mut self, k: &Value) -> Option<&mut Tuple> {
+        self.tuples.get_mut(k)
+    }
+
     /// Inserts a tuple, replacing any previous tuple with the same key.
     /// Returns an error if the tuple's key is `⊥` (validity).
     pub fn insert(&mut self, t: Tuple) -> Result<Option<Tuple>, ModelError> {

@@ -29,7 +29,7 @@ pub mod tuple;
 pub mod value;
 pub mod views;
 
-pub use chase::{chase, chase_with, naive_chase, ChaseFailure};
+pub use chase::{chase, chase_insert, chase_with, naive_chase, ChaseFailure};
 pub use condition::{Atom, Condition};
 pub use diff::{AttrChange, InstanceDiff};
 pub use error::ModelError;

@@ -1,4 +1,6 @@
-//! Property-based tests (proptest) over the whole stack: chase laws,
+//! Property-based tests (proptest) over the whole stack: chase laws and the
+//! key-local chase against its oracles, the in-place transition against the
+//! paper-literal update semantics, the diff-backed run history,
 //! losslessness round-trips, normal-form preservation, Lemma 4.6,
 //! Theorem 4.7/4.8 invariants, and incremental-maintenance agreement on
 //! randomized workloads.
@@ -14,8 +16,8 @@ use collab_workflows::core::{
 use collab_workflows::engine::{Run, Simulator};
 use collab_workflows::lang::{normalize, parse_workflow};
 use collab_workflows::model::{
-    chase, naive_chase, CollabSchema, Condition, Instance, RawInstance, RelId, RelSchema, Schema,
-    Tuple, Value, ViewRel,
+    chase, chase_insert, chase_with, naive_chase, CollabSchema, Condition, Instance, RawInstance,
+    RelId, RelSchema, Schema, Tuple, Value, ViewRel,
 };
 use collab_workflows::workloads::{random_propositional_spec, random_run, RandomSpecParams};
 use rand::rngs::StdRng;
@@ -38,11 +40,130 @@ mod chase_props {
             .prop_map(|(k, a, b)| Tuple::new([Value::Int(k), a, b]))
     }
 
+    /// An inserted tuple: keys 0..3 collide with [`arb_tuple`]'s, 3 is
+    /// always fresh, and `⊥` keys occur.
+    fn arb_insert() -> impl Strategy<Value = Tuple> {
+        (
+            prop_oneof![Just(Value::Null), (0i64..4).prop_map(Value::Int)],
+            arb_value(),
+            arb_value(),
+        )
+            .prop_map(|(k, a, b)| Tuple::new([k, a, b]))
+    }
+
     fn schema() -> Schema {
         Schema::from_relations([RelSchema::new("R", ["K", "A", "B"]).unwrap()]).unwrap()
     }
 
+    /// Which case of the insertion chase a differential check exercised.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum InsertCase {
+        NullKey,
+        Conflict,
+        MergeIntoNulls,
+        Unchanged,
+        FreshKey,
+    }
+
+    /// `chase_K(base ∪ {R(extra)})` three ways — the key-local in-place
+    /// chase, the closed form, the literal fixpoint — must agree, and a
+    /// failed key-local chase must leave `base` untouched.
+    fn check_key_local(base: &Instance, extra: &Tuple) -> Result<InsertCase, TestCaseError> {
+        let s = schema();
+        let r = RelId(0);
+        let mut raw = RawInstance::from_instance(base);
+        raw.push(r, extra.clone());
+        let closed = chase(&s, &raw);
+        prop_assert_eq!(&closed, &naive(&s, &raw));
+        prop_assert_eq!(&chase_with(&s, base, r, extra.clone()), &closed);
+        let mut local = base.clone();
+        let prev = chase_insert(&mut local, r, extra.clone());
+        match closed {
+            Ok(want) => {
+                prop_assert_eq!(&local, &want);
+                let stored = base.rel(r).get(extra.key());
+                prop_assert_eq!(prev, Ok(stored.cloned()));
+                Ok(match stored {
+                    None => InsertCase::FreshKey,
+                    Some(old) if old == want.rel(r).get(extra.key()).unwrap() => {
+                        InsertCase::Unchanged
+                    }
+                    Some(_) => InsertCase::MergeIntoNulls,
+                })
+            }
+            Err(e) => {
+                prop_assert_eq!(&local, base, "a failed chase leaves the instance unchanged");
+                let case = match e {
+                    collab_workflows::model::ChaseFailure::NullKey { .. } => InsertCase::NullKey,
+                    collab_workflows::model::ChaseFailure::Conflict { .. } => InsertCase::Conflict,
+                };
+                prop_assert_eq!(prev, Err(e));
+                Ok(case)
+            }
+        }
+    }
+
+    /// Builds a valid instance from raw tuples, if they chase.
+    fn valid_instance(tuples: Vec<Tuple>) -> Option<Instance> {
+        let s = schema();
+        let mut raw = RawInstance::empty(&s);
+        for t in tuples {
+            raw.push(RelId(0), t);
+        }
+        chase(&s, &raw).ok()
+    }
+
+    /// A seeded sweep of the differential check reaches every case: a `⊥`
+    /// key, a conflict, a merge into nulls, an identical duplicate or
+    /// subsumed insert, and a fresh key.
+    #[test]
+    fn key_local_chase_sweep_covers_every_case() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(7);
+        let value = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => Value::Null,
+            1 => Value::Int(rng.gen_range(0..2)),
+            2 => Value::str("a"),
+            _ => Value::str("b"),
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..400 {
+            let tuples: Vec<Tuple> = (0..rng.gen_range(0..6))
+                .map(|_| {
+                    Tuple::new([
+                        Value::Int(rng.gen_range(0..3)),
+                        value(&mut rng),
+                        value(&mut rng),
+                    ])
+                })
+                .collect();
+            let Some(base) = valid_instance(tuples) else {
+                continue;
+            };
+            let key = match rng.gen_range(0..5) {
+                0 => Value::Null,
+                k => Value::Int(k - 1),
+            };
+            let extra = Tuple::new([key, value(&mut rng), value(&mut rng)]);
+            seen.insert(check_key_local(&base, &extra).unwrap());
+        }
+        assert_eq!(seen.len(), 5, "cases reached: {seen:?}");
+    }
+
     proptest! {
+        /// The key-local in-place insertion chase equals the closed form
+        /// and the literal fixpoint on a random valid instance plus one
+        /// padded insert.
+        #[test]
+        fn key_local_chase_matches_closed_form_and_naive(
+            tuples in prop::collection::vec(arb_tuple(), 0..6),
+            extra in arb_insert(),
+        ) {
+            if let Some(base) = valid_instance(tuples) {
+                check_key_local(&base, &extra)?;
+            }
+        }
+
         /// The closed-form chase agrees with the paper's literal fixpoint.
         #[test]
         fn chase_matches_naive_fixpoint(tuples in prop::collection::vec(arb_tuple(), 0..6)) {
@@ -252,7 +373,7 @@ mod view_plane_props {
     /// attributes: `intake` keeps a task only while `Owner = ⊥` (so a claim
     /// makes the tuple *leave* its view by modification) and `board` only
     /// once `Status = "done"` (so a finish makes it *enter*).
-    fn task_spec() -> Arc<WorkflowSpec> {
+    pub(super) fn task_spec() -> Arc<WorkflowSpec> {
         Arc::new(
             parse_workflow(
                 r#"
@@ -308,9 +429,10 @@ mod view_plane_props {
             for p in collab.peer_ids() {
                 let mut rolling = materialize_view(collab, p, run.initial());
                 prop_assert_eq!(&rolling, &collab.view_of(run.initial(), p));
-                for i in 0..run.len() {
-                    peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut rolling);
-                    prop_assert_eq!(&rolling, &collab.view_of(run.instance(i), p));
+                let mut history = run.cursor();
+                while let Some(step) = history.next() {
+                    peer_delta(collab, p, step.diff, step.post).apply_to_view(&mut rolling);
+                    prop_assert_eq!(&rolling, &collab.view_of(step.post, p));
                 }
             }
         }
@@ -326,9 +448,10 @@ mod view_plane_props {
             for p in collab.peer_ids() {
                 prop_assert_eq!(run.peer_view(p), &collab.view_of(run.current(), p));
                 let mut rolling = materialize_view(collab, p, run.initial());
-                for i in 0..run.len() {
-                    peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut rolling);
-                    prop_assert_eq!(&rolling, &collab.view_of(run.instance(i), p));
+                let mut history = run.cursor();
+                while let Some(step) = history.next() {
+                    peer_delta(collab, p, step.diff, step.post).apply_to_view(&mut rolling);
+                    prop_assert_eq!(&rolling, &collab.view_of(step.post, p));
                 }
             }
         }
@@ -456,12 +579,14 @@ mod scratch_props {
             let run = random_run(&w.spec, 12, run_seed);
             let collab = run.spec().collab();
             let mut scratch = ScratchRun::restart_of(&run);
-            for i in 0..run.len() {
-                scratch.try_push(run.event(i)).expect("a run replays itself");
-                prop_assert_eq!(scratch.current(), run.instance(i));
+            let mut history = run.cursor();
+            while let Some(step) = history.next() {
+                let i = step.index;
+                scratch.try_push(step.event).expect("a run replays itself");
+                prop_assert_eq!(scratch.current(), step.post);
                 for p in collab.peer_ids() {
-                    prop_assert_eq!(scratch.view(p), &collab.view_of(run.instance(i), p));
-                    let own = run.event(i).peer == p;
+                    prop_assert_eq!(scratch.view(p), &collab.view_of(step.post, p));
+                    let own = step.event.peer == p;
                     prop_assert_eq!(own || scratch.changed(p), run.visible_at(i, p));
                 }
             }
@@ -525,8 +650,9 @@ mod engine_props {
             )
             .expect("a run replays itself");
             for i in 0..run.len() {
-                prop_assert_eq!(replayed.instance(i), run.instance(i));
+                prop_assert_eq!(replayed.diff(i), run.diff(i));
             }
+            prop_assert_eq!(replayed.current(), run.current());
             let log = encode_run(&run);
             let loaded = load_run(
                 run.spec_arc(),
@@ -560,5 +686,343 @@ mod engine_props {
                 );
             }
         }
+    }
+}
+
+mod transition_props {
+    use super::*;
+    use collab_workflows::engine::{
+        apply_updates, apply_updates_in_place, EngineError, GroundUpdate,
+    };
+    use collab_workflows::lang::WorkflowSpec;
+    use collab_workflows::model::{ChaseFailure, InstanceDiff, PeerId};
+    use rand::Rng;
+
+    /// `p` sees `R(K, A)` only while `B = ⊥`, `q` sees everything: deletes
+    /// and inserts by `p` can fail on visibility and subsumption, inserts by
+    /// either on a `⊥` key or a conflict.
+    fn spec() -> Arc<WorkflowSpec> {
+        Arc::new(
+            parse_workflow(
+                r#"
+                schema { R(K, A, B); }
+                peers {
+                    p sees R(K, A) where B = null;
+                    q sees R(*);
+                }
+                rules {
+                    ins @ q: +R(k, a, b) :- ;
+                }
+                "#,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..3) {
+            0 => Value::Null,
+            n => Value::Int(n),
+        }
+    }
+
+    /// A random valid instance over keys 0..4.
+    fn instance(spec: &WorkflowSpec, rng: &mut StdRng) -> Instance {
+        let r = RelId(0);
+        let mut inst = Instance::empty(spec.collab().schema());
+        for k in 0..4 {
+            if rng.gen_bool(0.6) {
+                inst.rel_mut(r)
+                    .insert(Tuple::new([Value::Int(k), value(rng), value(rng)]))
+                    .unwrap();
+            }
+        }
+        inst
+    }
+
+    /// 1–3 updates of one peer on pairwise distinct keys (the
+    /// distinct-update condition), keys drawn from `⊥` and 0..5.
+    fn updates(spec: &WorkflowSpec, rng: &mut StdRng) -> (PeerId, Vec<GroundUpdate>) {
+        let peer = PeerId(rng.gen_range(0..2));
+        let arity = spec.collab().view(peer, RelId(0)).unwrap().attrs().len();
+        let mut keys: Vec<Value> = vec![Value::Null];
+        keys.extend((0..5).map(Value::Int));
+        let mut out = Vec::new();
+        for _ in 0..rng.gen_range(1..4) {
+            let key = keys.remove(rng.gen_range(0..keys.len()));
+            if rng.gen_bool(0.3) && !key.is_null() {
+                out.push(GroundUpdate::Delete { rel: RelId(0), key });
+            } else {
+                let mut vals = vec![key];
+                vals.extend((1..arity).map(|_| value(rng)));
+                out.push(GroundUpdate::Insert {
+                    rel: RelId(0),
+                    view_tuple: Tuple::new(vals),
+                });
+            }
+        }
+        (peer, out)
+    }
+
+    /// The paper-literal update semantics: views by `view_of`, insertions
+    /// by the closed-form chase of the whole instance.
+    fn reference(
+        spec: &WorkflowSpec,
+        inst: &Instance,
+        peer: PeerId,
+        updates: &[GroundUpdate],
+    ) -> Option<Instance> {
+        let collab = spec.collab();
+        let mut cur = inst.clone();
+        for u in updates {
+            match u {
+                GroundUpdate::Delete { rel, key } => {
+                    if !collab.view_of(&cur, peer).contains_key(*rel, key) {
+                        return None;
+                    }
+                    cur.rel_mut(*rel).remove(key);
+                }
+                GroundUpdate::Insert { rel, view_tuple } => {
+                    let vr = collab.view(peer, *rel).unwrap();
+                    let mut raw = RawInstance::from_instance(&cur);
+                    raw.push(
+                        *rel,
+                        vr.pad(view_tuple, collab.schema().relation(*rel).arity()),
+                    );
+                    let next = chase(collab.schema(), &raw).ok()?;
+                    let seen = collab.view_of(&next, peer);
+                    if !seen
+                        .get(*rel, view_tuple.key())
+                        .is_some_and(|t| view_tuple.subsumed_by(t))
+                    {
+                        return None;
+                    }
+                    cur = next;
+                }
+            }
+        }
+        Some(cur)
+    }
+
+    /// The in-place transition on a seeded sweep of random instances and
+    /// multi-update events: it accepts exactly what the paper-literal
+    /// semantics accepts, emits `InstanceDiff::between`, and after every
+    /// error variant — including a failure after earlier updates of the
+    /// same event were applied — leaves the instance byte-identical.
+    #[test]
+    fn in_place_transition_matches_reference_and_undoes_failures() {
+        let spec = spec();
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut errors = std::collections::BTreeSet::new();
+        let mut undone_after_applied = 0;
+        for _ in 0..2000 {
+            let before = instance(&spec, &mut rng);
+            let (peer, ups) = updates(&spec, &mut rng);
+            let mut inst = before.clone();
+            let got = apply_updates_in_place(&spec, &mut inst, peer, &ups);
+            let want = reference(&spec, &before, peer, &ups);
+            match got {
+                Ok(effect) => {
+                    assert_eq!(Some(&inst), want.as_ref(), "{ups:?} on {before:?}");
+                    assert_eq!(effect.diff, InstanceDiff::between(&before, &inst));
+                    let copy = apply_updates(&spec, &before, peer, &ups).unwrap();
+                    assert_eq!(copy.instance, inst);
+                    assert_eq!(copy.diff, effect.diff);
+                    assert_eq!(copy.noop_inserts, effect.noop_inserts);
+                }
+                Err(e) => {
+                    assert_eq!(want, None, "{ups:?} on {before:?}: {e}");
+                    assert_eq!(inst, before, "{e} must leave the instance unchanged");
+                    assert_eq!(format!("{inst:?}"), format!("{before:?}"));
+                    errors.insert(match e {
+                        EngineError::DeleteInvisible { .. } => "delete-invisible",
+                        EngineError::InsertChase(ChaseFailure::NullKey { .. }) => "null-key",
+                        EngineError::InsertChase(ChaseFailure::Conflict { .. }) => "conflict",
+                        EngineError::InsertNotSubsumed { .. } => "not-subsumed",
+                        other => panic!("unexpected error {other}"),
+                    });
+                    let first_applies = apply_updates(&spec, &before, peer, &ups[..1]).is_ok();
+                    if ups.len() > 1 && first_applies {
+                        undone_after_applied += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(errors.len(), 4, "error variants reached: {errors:?}");
+        assert!(
+            undone_after_applied > 0,
+            "no multi-update event failed late"
+        );
+    }
+}
+
+mod history_props {
+    use super::*;
+    use collab_workflows::engine::{candidates, complete, event_visible, peer_delta};
+    use collab_workflows::model::InstanceDiff;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bytes allocated by this thread so far.
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The system allocator, counting each thread's allocated bytes so a
+    /// test can measure what one operation allocates.
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to the system allocator.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    /// A random run of the task tracker (modifications, deletions, tuples
+    /// moving in and out of selections) or of a random propositional spec.
+    fn random_history(task: bool, seed: u64, picks: &[u32]) -> Run {
+        if !task {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
+            return random_run(&w.spec, 12, seed);
+        }
+        let mut run = Run::new(super::view_plane_props::task_spec());
+        for pick in picks {
+            let cands = candidates(&run);
+            if cands.is_empty() {
+                break;
+            }
+            let event = complete(&mut run, &cands[*pick as usize % cands.len()].clone());
+            let _ = run.push(event);
+        }
+        run
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The cursor's `pre`/`post` are the instances a replay of each
+        /// prefix reaches, as are the on-demand `pre_instance`/`instance`;
+        /// and the visibility recorded at push time equals
+        /// `own || !peer_delta(..).is_empty()` recomputed from scratch.
+        #[test]
+        fn cursor_and_visibility_match_replay(
+            task in 0u8..2, seed in 0u64..500, picks in prop::collection::vec(0u32..64, 1..30)
+        ) {
+            let run = random_history(task == 1, seed, &picks);
+            let spec = run.spec_arc();
+            let collab = spec.collab();
+            let mut history = run.cursor();
+            while let Some(step) = history.next() {
+                let i = step.index;
+                let events = run.events();
+                let upto = |n: usize| {
+                    Run::replay(Arc::clone(&spec), run.initial().clone(), events[..n].to_vec())
+                        .expect("a run's prefixes replay")
+                };
+                prop_assert_eq!(step.pre, upto(i).current());
+                prop_assert_eq!(step.post, upto(i + 1).current());
+                prop_assert_eq!(&run.pre_instance(i), step.pre);
+                prop_assert_eq!(&run.instance(i), step.post);
+                prop_assert_eq!(step.diff, &InstanceDiff::between(step.pre, step.post));
+                for p in collab.peer_ids() {
+                    let diff = InstanceDiff::between(step.pre, step.post);
+                    let recomputed = step.event.peer == p
+                        || !peer_delta(collab, p, &diff, step.post).is_empty();
+                    prop_assert_eq!(run.visible_at(i, p), recomputed);
+                    prop_assert_eq!(
+                        run.visible_at(i, p),
+                        event_visible(&spec, step.event, step.pre, step.post, p)
+                    );
+                }
+            }
+        }
+
+        /// Pushing an event and popping it leaves the run equal to one that
+        /// never saw it: events, current instance, diffs, view plane,
+        /// avoid-set and provenance.
+        #[test]
+        fn push_then_pop_is_invisible(
+            task in 0u8..2, seed in 0u64..500, picks in prop::collection::vec(0u32..64, 1..30),
+            cut in 0usize..64,
+        ) {
+            let full = random_history(task == 1, seed, &picks);
+            if full.is_empty() {
+                return Ok(());
+            }
+            let k = cut % full.len();
+            let mut never = Run::replay(full.spec_arc(), full.initial().clone(), full.events()[..k].to_vec())
+                .expect("a run's prefixes replay");
+            never.enable_provenance();
+            let mut popped = never.clone();
+            popped.push(full.event(k).clone()).expect("the run's next event applies");
+            prop_assert_eq!(popped.pop().as_ref(), Some(full.event(k)));
+            prop_assert_eq!(popped.events(), never.events());
+            prop_assert_eq!(popped.current(), never.current());
+            for i in 0..k {
+                prop_assert_eq!(popped.diff(i), never.diff(i));
+                for p in full.spec().collab().peer_ids() {
+                    prop_assert_eq!(popped.visible_at(i, p), never.visible_at(i, p));
+                }
+            }
+            for p in full.spec().collab().peer_ids() {
+                prop_assert_eq!(popped.peer_view(p), never.peer_view(p));
+            }
+            prop_assert_eq!(popped.used_values(), never.used_values());
+            prop_assert_eq!(popped.provenance(), never.provenance());
+        }
+    }
+
+    /// A create-heavy run: one fresh key per event, so `|I_i| = i`.
+    fn grown_run(n: usize) -> Run {
+        let spec = Arc::new(
+            parse_workflow(
+                r#"
+                schema { R(K, A); }
+                peers { p sees R(*); }
+                rules { mint @ p: +R(k, "tag") :- ; }
+                "#,
+            )
+            .unwrap(),
+        );
+        let rule = spec.program().rule_by_name("mint").unwrap();
+        let mut run = Run::new(Arc::clone(&spec));
+        for _ in 0..n {
+            let mut b = collab_workflows::engine::Bindings::empty(1);
+            b.set(collab_workflows::lang::VarId(0), run.draw_fresh());
+            run.push(collab_workflows::engine::Event::new(&spec, rule, b).unwrap())
+                .unwrap();
+        }
+        run
+    }
+
+    fn clone_bytes(run: &Run) -> usize {
+        let before = ALLOCATED.with(Cell::get);
+        let copy = run.clone();
+        let bytes = ALLOCATED.with(Cell::get) - before;
+        drop(copy);
+        bytes
+    }
+
+    /// `Run::clone` copies the history as diffs, linear in the number of
+    /// events: quadrupling a create-heavy run quadruples the bytes a clone
+    /// allocates. One stored instance per event would make it ~16×.
+    #[test]
+    fn clone_copies_no_per_event_instances() {
+        let small = clone_bytes(&grown_run(100));
+        let large = clone_bytes(&grown_run(400));
+        assert!(
+            large < 6 * small,
+            "clone allocates {small} bytes at 100 events, {large} at 400"
+        );
     }
 }
