@@ -4,9 +4,10 @@
 //! `≤ N` exists — is NP-complete, so this module implements an exponential
 //! branch-and-bound search over subsequences. The search walks the run left
 //! to right deciding include/exclude per event, maintaining the replayed
-//! subrun state, and prunes branches that (a) fail to replay, (b) produce a
-//! visible step at `p` that does not match the next expected observation, or
-//! (c) cannot beat the current bound.
+//! subrun as one [`Run`] (push on include, O(delta) pop on return), and
+//! prunes branches that (a) fail to replay, (b) produce a visible step at
+//! `p` that does not match the next expected observation, or (c) cannot
+//! beat the current bound.
 //!
 //! Every entry point is **governed**: it threads a [`Governor`] (node budget,
 //! wall-clock deadline, cancellation) and reports a [`Verdict`]. When the
@@ -19,9 +20,10 @@
 //! decides strict-subsequence scenario existence — the coNP-hard minimality
 //! test of Theorem 3.4 (see [`crate::minimal`]).
 
-use cwf_engine::{EventView, Run, RunView, ScratchRun};
+use cwf_engine::{Run, RunView};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
 
+use crate::scenario::{empty_subrun, match_step};
 use crate::set::EventSet;
 
 /// Runs shorter than this stay on the sequential path even under a
@@ -139,10 +141,9 @@ fn search_sequential(
     gov: &Governor,
     target: &RunView,
 ) -> Verdict<Option<EventSet>> {
-    let mut ctx = Ctx::sequential(run, peer, target, opts, restrict, gov);
-    ctx.arena.push(ScratchRun::restart_of(run));
+    let mut ctx = Ctx::sequential(run, target, opts, restrict, gov, empty_subrun(run));
     let mut chosen = Vec::new();
-    ctx.dfs(0, 0, 0, &mut chosen);
+    ctx.dfs(0, 0, &mut chosen);
     match ctx.stopped {
         None => Verdict::Done(ctx.best),
         Some(reason) => cutoff_verdict(run, peer, opts, ctx.best, reason),
@@ -150,10 +151,10 @@ fn search_sequential(
 }
 
 /// A branch of the decision tree frozen at the spawn depth, ready to hand
-/// to a worker: the replayed subrun state, the observations matched so far,
-/// and the chosen positions.
+/// to a worker: the replayed subrun, the observations matched so far, and
+/// the chosen positions.
 struct Prefix {
-    sub: ScratchRun,
+    sub: Run,
     matched: usize,
     chosen: Vec<usize>,
 }
@@ -193,11 +194,10 @@ fn search_parallel(
     // Phase 1: expand the same exclude-first decision tree sequentially
     // down to the spawn depth, collecting the live branches in DFS order.
     let depth = spawn_depth(pool.threads(), run.len());
-    let mut expander = Ctx::sequential(run, peer, target, opts, restrict, gov);
+    let mut expander = Ctx::sequential(run, target, opts, restrict, gov, empty_subrun(run));
     expander.spawn_depth = depth;
-    expander.arena.push(ScratchRun::restart_of(run));
     let mut chosen = Vec::new();
-    expander.dfs(0, 0, 0, &mut chosen);
+    expander.dfs(0, 0, &mut chosen);
     if let Some(reason) = expander.stopped {
         return cutoff_verdict(run, peer, opts, None, reason);
     }
@@ -231,12 +231,11 @@ fn search_parallel(
         first_hit: FirstHit::new(),
     };
     let outs = pool.run(prefixes, |idx, p: Prefix| {
-        let mut ctx = Ctx::sequential(run, peer, target, opts, restrict, gov);
+        let mut ctx = Ctx::sequential(run, target, opts, restrict, gov, p.sub);
         ctx.shared = Some(&shared);
         ctx.my_index = idx;
-        ctx.arena.push(p.sub);
         let mut chosen = p.chosen;
-        ctx.dfs(depth, 0, p.matched, &mut chosen);
+        ctx.dfs(depth, p.matched, &mut chosen);
         (ctx.best, ctx.stopped)
     });
 
@@ -367,7 +366,6 @@ pub fn exists_scenario_at_most_pooled(
 
 struct Ctx<'a> {
     run: &'a Run,
-    peer: PeerId,
     target: &'a RunView,
     allowed: Option<EventSet>,
     max_len: usize,
@@ -384,25 +382,24 @@ struct Ctx<'a> {
     shared: Option<&'a ParShared>,
     /// This worker's subproblem index (DFS order of its prefix).
     my_index: usize,
-    /// Per-depth arena of replay states: slot `d` holds the state of the
-    /// current branch after `d` inclusions. Include branches overwrite slot
-    /// `d + 1` via `clone_from` instead of allocating a fresh state, so
-    /// sibling branches at the same depth reuse the same buffers.
-    arena: Vec<ScratchRun>,
+    /// The replayed subrun of the current branch: the events chosen so far.
+    /// An include branch pushes its event and pops it on return.
+    sub: Run,
 }
 
 impl<'a> Ctx<'a> {
+    /// A search context replaying from `sub` (the empty subrun, or a
+    /// spawned branch's prefix).
     fn sequential(
         run: &'a Run,
-        peer: PeerId,
         target: &'a RunView,
         opts: &SearchOptions,
         restrict: &Option<EventSet>,
         gov: &'a Governor,
+        sub: Run,
     ) -> Self {
         Ctx {
             run,
-            peer,
             target,
             allowed: restrict.clone(),
             max_len: opts.max_len.unwrap_or(run.len()),
@@ -414,7 +411,7 @@ impl<'a> Ctx<'a> {
             prefixes: Vec::new(),
             shared: None,
             my_index: 0,
-            arena: Vec::new(),
+            sub,
         }
     }
 
@@ -470,9 +467,9 @@ impl<'a> Ctx<'a> {
         self.best = Some(set);
     }
 
-    /// DFS over positions. `slot` indexes the arena state of the replayed
-    /// subrun so far, `matched` the number of target steps already produced.
-    fn dfs(&mut self, i: usize, slot: usize, matched: usize, chosen: &mut Vec<usize>) {
+    /// DFS over positions. `matched` counts the target steps the replayed
+    /// subrun has already produced; `chosen` holds its original positions.
+    fn dfs(&mut self, i: usize, matched: usize, chosen: &mut Vec<usize>) {
         if self.done() || self.stopped.is_some() {
             return;
         }
@@ -480,7 +477,7 @@ impl<'a> Ctx<'a> {
         // so every spawned node is charged exactly once — by its worker.
         if i == self.spawn_depth {
             self.prefixes.push(Prefix {
-                sub: self.arena[slot].clone(),
+                sub: self.sub.clone(),
                 matched,
                 chosen: chosen.clone(),
             });
@@ -513,7 +510,7 @@ impl<'a> Ctx<'a> {
             return;
         }
         // Branch 1: exclude event i (bias toward short scenarios).
-        self.dfs(i + 1, slot, matched, chosen);
+        self.dfs(i + 1, matched, chosen);
         if self.done() || self.stopped.is_some() {
             return;
         }
@@ -526,41 +523,15 @@ impl<'a> Ctx<'a> {
         if chosen.len() + 1 > self.bound() {
             return;
         }
-        // Overwrite the next arena slot with the current state (buffer
-        // reuse) and push the event onto it.
-        if self.arena.len() == slot + 1 {
-            let fresh = self.arena[slot].clone();
-            self.arena.push(fresh);
-        } else {
-            let (head, tail) = self.arena.split_at_mut(slot + 1);
-            tail[0].clone_from(&head[slot]);
-        }
-        let event = self.run.event(i);
-        if self.arena[slot + 1].try_push(event).is_err() {
+        if self.sub.push(self.run.event(i).clone()).is_err() {
             return;
         }
-        let own = event.peer == self.peer;
-        let next = &self.arena[slot + 1];
-        let new_matched = if own || next.changed(self.peer) {
-            // A visible step: must match the next expected observation.
-            let Some(expected) = self.target.steps.get(matched) else {
-                return;
-            };
-            let event_matches = match (&expected.event, own) {
-                (EventView::Own(e), true) => e == event,
-                (EventView::World, false) => true,
-                _ => false,
-            };
-            if !event_matches || expected.view != *next.view(self.peer) {
-                return;
-            }
-            matched + 1
-        } else {
-            matched
-        };
-        chosen.push(i);
-        self.dfs(i + 1, slot + 1, new_matched, chosen);
-        chosen.pop();
+        if let Some(matched) = match_step(&self.sub, self.target, matched) {
+            chosen.push(i);
+            self.dfs(i + 1, matched, chosen);
+            chosen.pop();
+        }
+        self.sub.pop();
     }
 }
 
@@ -633,25 +604,25 @@ mod tests {
             );
         }
         assert_eq!(found.len(), 5, "a1, a2, b11, b22, ok");
+        // The search tree is pinned: a replay that accepted or matched
+        // differently would visit a different number of nodes.
+        assert_eq!(gov.nodes_used(), 36);
     }
 
     #[test]
     fn decision_variant_matches_hitting_set_structure() {
         let run = hitting_run();
         let p = run.spec().collab().peer("p").unwrap();
-        let gov = Governor::unlimited();
-        assert_eq!(
-            exists_scenario_at_most(&run, p, 5, &gov),
-            Verdict::Done(true)
-        );
-        assert_eq!(
-            exists_scenario_at_most(&run, p, 4, &gov),
-            Verdict::Done(false)
-        );
-        assert_eq!(
-            exists_scenario_at_most(&run, p, 6, &gov),
-            Verdict::Done(true)
-        );
+        // Pinned node counts: the greedy quick-accept settles n ≥ 5 without
+        // a search node; n = 4 searches the whole decision tree.
+        for (n, exists, nodes) in [(5, true, 0), (4, false, 57), (6, true, 0)] {
+            let gov = Governor::unlimited();
+            assert_eq!(
+                exists_scenario_at_most(&run, p, n, &gov),
+                Verdict::Done(exists)
+            );
+            assert_eq!(gov.nodes_used(), nodes, "nodes at n = {n}");
+        }
     }
 
     #[test]
@@ -663,10 +634,12 @@ mod tests {
             allowed: Some(EventSet::from_iter(run.len(), [0, 3, 5])),
             ..Default::default()
         };
+        let gov = Governor::unlimited();
         assert_eq!(
-            search_min_scenario(&run, p, &opts, &Governor::unlimited()),
+            search_min_scenario(&run, p, &opts, &gov),
             Verdict::Done(None)
         );
+        assert_eq!(gov.nodes_used(), 16);
     }
 
     #[test]
@@ -742,8 +715,10 @@ mod tests {
         // q as observer of an all-q run: the whole run is the only scenario
         // (every event is visible at q).
         let q = run.spec().collab().peer("q").unwrap();
-        let res = search_min_scenario(&run, q, &SearchOptions::default(), &Governor::unlimited());
+        let gov = Governor::unlimited();
+        let res = search_min_scenario(&run, q, &SearchOptions::default(), &gov);
         assert_eq!(res.found().unwrap().len(), run.len());
+        assert_eq!(gov.nodes_used(), 13);
     }
 
     #[test]
@@ -770,8 +745,10 @@ mod tests {
                 .unwrap();
         }
         let p = spec.collab().peer("p").unwrap();
-        let res = search_min_scenario(&run, p, &SearchOptions::default(), &Governor::unlimited());
+        let gov = Governor::unlimited();
+        let res = search_min_scenario(&run, p, &SearchOptions::default(), &gov);
         // B is invisible to p, so the minimum scenario is just p's event.
         assert_eq!(res.found().unwrap().to_vec(), vec![1]);
+        assert_eq!(gov.nodes_used(), 4);
     }
 }

@@ -4,17 +4,15 @@
 //! `e(ρ)`; a *scenario of `ρ` at `p`* is a subrun observationally equivalent
 //! to `ρ` for `p` (`ρ@p = ρ̂@p`).
 
-use cwf_engine::{EventView, Run, RunView, ScratchRun};
+use cwf_engine::{EventView, Run, RunView};
 use cwf_model::PeerId;
 
 use crate::set::EventSet;
 
-/// Does the subsequence `events` of `run`'s events yield a subrun?
-/// Streams through a history-free [`ScratchRun`] — no intermediate
-/// instances are retained, and the replay stops at the first rejection.
+/// Does the subsequence `events` of `run`'s events yield a subrun? The
+/// replay stops at the first rejection.
 pub fn is_subrun(run: &Run, events: &EventSet) -> bool {
-    let mut sub = ScratchRun::restart_of(run);
-    events.iter().all(|i| sub.try_push(run.event(i)).is_ok())
+    subrun(run, events).is_some()
 }
 
 /// Replays the subsequence, returning the subrun if it exists.
@@ -39,30 +37,44 @@ pub fn is_scenario_against(run: &Run, peer: PeerId, events: &EventSet, target: &
     if target.peer != peer {
         return false;
     }
-    let mut sub = ScratchRun::restart_of(run);
+    let mut sub = empty_subrun(run);
     let mut matched = 0;
     for i in events.iter() {
-        let event = run.event(i);
-        if sub.try_push(event).is_err() {
+        if sub.push(run.event(i).clone()).is_err() {
             return false;
         }
-        let own = event.peer == peer;
-        if own || sub.changed(peer) {
-            let Some(expected) = target.steps.get(matched) else {
-                return false;
-            };
-            let event_matches = match (&expected.event, own) {
-                (EventView::Own(e), true) => e == event,
-                (EventView::World, false) => true,
-                _ => false,
-            };
-            if !event_matches || expected.view != *sub.view(peer) {
-                return false;
-            }
-            matched += 1;
+        match match_step(&sub, target, matched) {
+            Some(next) => matched = next,
+            None => return false,
         }
     }
     matched == target.steps.len()
+}
+
+/// The empty replay every subsequence test and search starts from: `run`'s
+/// spec and initial instance, no events.
+pub(crate) fn empty_subrun(run: &Run) -> Run {
+    Run::with_initial(run.spec_arc(), run.initial().clone())
+}
+
+/// Matches the last step of the replay `sub` against the target view
+/// `ρ@p` (`p = target.peer`), of which `matched` observations are already
+/// reproduced. An event invisible at `p` leaves the count as is; a visible
+/// one must equal the next expected `(e@p, I@p)` and advances it. `None` on
+/// a mismatch.
+pub(crate) fn match_step(sub: &Run, target: &RunView, matched: usize) -> Option<usize> {
+    let peer = target.peer;
+    let last = sub.len() - 1;
+    if !sub.visible_at(last, peer) {
+        return Some(matched);
+    }
+    let expected = target.steps.get(matched)?;
+    let event = sub.event(last);
+    let event_matches = match &expected.event {
+        EventView::Own(e) => event.peer == peer && e == event,
+        EventView::World => event.peer != peer,
+    };
+    (event_matches && expected.view == *sub.peer_view(peer)).then_some(matched + 1)
 }
 
 /// The positions of the events of `run` visible at `peer`, as a set — every

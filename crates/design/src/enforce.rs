@@ -199,31 +199,25 @@ impl TransparentEngine {
     /// unchanged either way.
     pub fn push(&mut self, event: Event) -> Result<PushOutcome, EngineError> {
         let spec = self.run.spec_arc();
-        // Validate without cloning the run: freshness against the history,
-        // then a tentative application on the current instance only.
-        let mut seen_fresh: Vec<Value> = Vec::new();
-        for v in event.new_values(&spec) {
-            if self.run.used_values().contains(&v) || seen_fresh.contains(&v) {
-                return Err(EngineError::NotGloballyFresh { value: v });
-            }
-            seen_fresh.push(v);
-        }
-        let next = cwf_engine::apply_event(&spec, self.run.current(), &event)?;
-        let visible = event.peer == self.peer
-            || spec.collab().view_of(self.run.current(), self.peer)
-                != spec.collab().view_of(&next, self.peer);
+        // Admit tentatively: the run checks freshness and applicability and
+        // records visibility; a blocked or rolled-back event is popped.
+        self.run.push(event.clone())?;
+        let at = self.run.len() - 1;
+        let visible = self.run.visible_at(at, self.peer);
         // Classify the event.
-        let (transparent, steps) = self.classify(&spec, &event);
+        let (transparent, steps) = self.classify(&spec, &event, self.h);
         let touches_visible = event
             .ground_updates(&spec)
             .iter()
             .any(|u| spec.collab().sees(self.peer, u.rel()));
         if !transparent && (touches_visible || visible) {
             // A non-transparent event may not modify what p sees.
-            let overflow =
-                steps.len() + 1 > self.h && self.would_be_transparent_modulo_steps(&spec, &event);
+            // Would the event be transparent with no step cap? That tells
+            // the two blocking reasons apart.
+            let overflow = steps.len() + 1 > self.h && self.classify(&spec, &event, usize::MAX).0;
             match self.mode {
                 EnforcementMode::Block => {
+                    self.run.pop();
                     if overflow {
                         self.stats.blocked_provenance += 1;
                         return Ok(PushOutcome::BlockedProvenance);
@@ -232,6 +226,7 @@ impl TransparentEngine {
                     return Ok(PushOutcome::BlockedNonTransparent);
                 }
                 EnforcementMode::Rollback => {
+                    self.run.pop();
                     let undone = self.rollback_stage();
                     if overflow {
                         self.stats.blocked_provenance += 1;
@@ -242,34 +237,31 @@ impl TransparentEngine {
                 }
                 EnforcementMode::Alert => {
                     self.alerts.push(Alert {
-                        at: self.run.len(),
+                        at,
                         provenance_overflow: overflow,
                     });
-                    self.apply_accepted(&spec, event, (), visible, transparent, steps)?;
+                    self.apply_accepted(&spec, &event, visible, transparent, steps);
                     return Ok(PushOutcome::AppliedWithAlert);
                 }
             }
         }
         // Accept.
-        self.apply_accepted(&spec, event, (), visible, transparent, steps)?;
+        self.apply_accepted(&spec, &event, visible, transparent, steps);
         Ok(PushOutcome::Applied { transparent })
     }
 
-    /// Applies an accepted (or alert-mode) event and updates the shadow
-    /// state. `steps` is the body provenance (without the current step).
+    /// Updates the shadow state for an accepted (or alert-mode) event, the
+    /// run's last. `steps` is the body provenance (without the current
+    /// step).
     fn apply_accepted(
         &mut self,
-        spec: &Arc<WorkflowSpec>,
-        event: Event,
-        _marker: (),
+        spec: &WorkflowSpec,
+        event: &Event,
         visible: bool,
         transparent: bool,
         steps: BTreeSet<u64>,
-    ) -> Result<(), EngineError> {
-        let pre = self.run.current().clone();
-        self.run
-            .push(event.clone())
-            .expect("validated above: the event applies");
+    ) {
+        let created = &self.run.diff(self.run.len() - 1).created;
         self.step += 1;
         let current_steps: BTreeSet<u64> = {
             let mut s = steps;
@@ -280,7 +272,7 @@ impl TransparentEngine {
             match upd {
                 GroundUpdate::Insert { rel, view_tuple } => {
                     let key = *view_tuple.key();
-                    let existed = pre.rel(rel).contains_key(&key);
+                    let existed = !created.iter().any(|(r, t)| *r == rel && *t.key() == key);
                     let entry = self.meta.entry((rel, key));
                     let post_tuple = self
                         .run
@@ -330,22 +322,19 @@ impl TransparentEngine {
             self.stage_start = self.run.len();
             self.stage_meta = self.meta.clone();
         }
-        Ok(())
     }
 
     /// Rollback mode: discards the current stage's silent events, restoring
     /// the last p-visible state (and the matching shadow state). Returns the
     /// number of discarded events.
     fn rollback_stage(&mut self) -> usize {
-        let keep = self.stage_start;
-        let undone = self.run.len() - keep;
+        let undone = self.run.len() - self.stage_start;
         if undone == 0 {
             return 0;
         }
-        let spec = self.run.spec_arc();
-        let events: Vec<Event> = self.run.events()[..keep].to_vec();
-        self.run = Run::replay(spec, self.run.initial().clone(), events)
-            .expect("a prefix of a valid run replays");
+        while self.run.len() > self.stage_start {
+            self.run.pop();
+        }
         self.meta = self.stage_meta.clone();
         undone
     }
@@ -354,7 +343,7 @@ impl TransparentEngine {
     /// what is the union of their step provenances? Returns
     /// `(transparent, steps)` where `transparent` already accounts for the
     /// `|H| ≤ h` cap.
-    fn classify(&self, spec: &WorkflowSpec, event: &Event) -> (bool, BTreeSet<u64>) {
+    fn classify(&self, spec: &WorkflowSpec, event: &Event, h: usize) -> (bool, BTreeSet<u64>) {
         let mut steps = BTreeSet::new();
         let mut all_transparent = true;
         let rule = spec.program().rule(event.rule);
@@ -417,7 +406,7 @@ impl TransparentEngine {
             }
         }
         // The step budget: the event itself is one more step.
-        if steps.len() + 1 > self.h {
+        if steps.len() + 1 > h {
             all_transparent = false;
         }
         (all_transparent, steps)
@@ -441,17 +430,6 @@ impl TransparentEngine {
                 _ => false,
             },
         }
-    }
-
-    /// Would the event be transparent if the step cap were infinite?
-    /// (Distinguishes the two blocking reasons for reporting.)
-    fn would_be_transparent_modulo_steps(&self, spec: &WorkflowSpec, event: &Event) -> bool {
-        let saved_h = self.h;
-        let mut clone = self.clone();
-        clone.h = usize::MAX;
-        let (t, _) = clone.classify(spec, event);
-        let _ = saved_h;
-        t
     }
 }
 

@@ -32,7 +32,6 @@ pub mod fault;
 pub mod nf_runs;
 pub mod prov;
 pub mod run;
-pub mod scratch;
 pub mod shard;
 pub mod simulate;
 pub mod stats;
@@ -50,7 +49,6 @@ pub use fault::FaultPlan;
 pub use nf_runs::{from_normal_form, to_normal_form, NfTranslateError};
 pub use prov::ProvPlane;
 pub use run::{Cursor, EventView, ReplayError, Run, RunView, Step, ViewStep};
-pub use scratch::ScratchRun;
 pub use shard::{
     FailoverReport, Hlc, HlcStamp, MigrationKind, MigrationPlan, Oplog, OplogEntry,
     ShardConvergence, ShardId, ShardMap, ShardOp, ShardPlane, ShardPlaneConfig, ShardPlaneStats,

@@ -13,6 +13,10 @@
 //! of the run — Cheney, Acar & Ahmed, *Provenance Traces*). A push mutates
 //! the current instance in place. Past instances are walked forward with a
 //! [`Cursor`], or rebuilt on demand by [`Run::instance`].
+//!
+//! The trace is reversible as well as replayable: [`Run::pop`] undoes the
+//! last push in O(delta), which is how scenario search walks its decision
+//! tree on one run (push on include, pop on return).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -58,6 +62,10 @@ pub struct Run {
     /// new values only ever enter through created tuples and modification
     /// after-values.
     past_adom: BTreeSet<Value>,
+    /// The values each push added to `past_adom`, in push order; event `i`'s
+    /// share starts at `adom_marks[i]`. [`Run::pop`] removes exactly these.
+    adom_log: Vec<Value>,
+    adom_marks: Vec<usize>,
     fresh: FreshGen,
     /// The opt-in provenance plane ([`Run::enable_provenance`]). Derived
     /// state: never persisted, rebuilt (not recovered) after a WAL replay.
@@ -77,7 +85,7 @@ fn base_avoid_set(spec: &WorkflowSpec, initial: &Instance) -> BTreeSet<Value> {
 /// additionally require *distinct* head-only variables of one event to take
 /// pairwise distinct values (a mild strengthening of the paper that lets
 /// rules rely on the distinctness of created keys).
-pub(crate) fn check_fresh(
+fn check_fresh(
     spec: &WorkflowSpec,
     past_adom: &BTreeSet<Value>,
     event: &Event,
@@ -119,6 +127,8 @@ impl Run {
             plane,
             last_deltas: Vec::new(),
             past_adom,
+            adom_log: Vec::new(),
+            adom_marks: Vec::new(),
             fresh,
             prov: None,
         }
@@ -256,9 +266,12 @@ impl Run {
         // introduce values through created tuples and modification
         // after-values (deletions and before-values are already in
         // past_adom by induction).
+        self.adom_marks.push(self.adom_log.len());
         for v in diff.written_values() {
             self.fresh.observe(v);
-            self.past_adom.insert(*v);
+            if self.past_adom.insert(*v) {
+                self.adom_log.push(*v);
+            }
         }
         debug_assert!(
             self.current
@@ -270,7 +283,9 @@ impl Run {
         for v in event.adom(&self.spec) {
             self.fresh.observe(&v);
         }
-        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &self.current);
+        self.last_deltas = self
+            .plane
+            .step(self.spec.collab(), &diff, &self.current, true);
         #[cfg(debug_assertions)]
         for p in self.spec.collab().peer_ids() {
             debug_assert_eq!(
@@ -302,7 +317,7 @@ impl Run {
 
     /// Turns on the provenance plane, building it from the stored history.
     /// Subsequent pushes maintain it incrementally; [`Run::pop`] rebuilds
-    /// it. Idempotent.
+    /// it (the one O(history) part of a pop). Idempotent.
     pub fn enable_provenance(&mut self) {
         if self.prov.is_none() {
             self.prov = Some(ProvPlane::build(self));
@@ -377,27 +392,31 @@ impl Run {
         &self.diffs[i]
     }
 
-    /// Removes the last event, reverting its diff from the current
-    /// instance, and returns it. Used to roll a just-pushed event back out
-    /// of memory when it could not be made durable. The avoid-set is
-    /// rebuilt from the initial instance and the remaining diffs, so
-    /// resubmitting the same event (same fresh values) is accepted; the
-    /// fresh-value *generator* is not rewound — it only over-avoids, which
-    /// is harmless.
+    /// Removes the last event and returns it: the exact inverse of
+    /// [`Run::push`], in O(delta). The current instance reverts the event's
+    /// diff, the view plane steps back across it, and the avoid-set drops
+    /// exactly the values the push added — so resubmitting the same event
+    /// (same fresh values) is accepted. Scenario search pops on every
+    /// return from an include branch; a shard plane pops an event it could
+    /// not make durable. The fresh-value *generator* is not rewound — it
+    /// only over-avoids, which is harmless.
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
         let diff = self.diffs.pop().expect("events and diffs in step");
         self.seen_by.pop().expect("events and visibility in step");
+        let mark = self
+            .adom_marks
+            .pop()
+            .expect("events and adom marks in step");
         diff.revert(&mut self.current);
-        let mut keep = base_avoid_set(&self.spec, &self.initial);
-        keep.extend(self.diffs.iter().flat_map(InstanceDiff::written_values));
-        self.past_adom = keep;
-        // Popping is the rare durability-failure path: rebuild the plane
-        // from the restored current instance rather than inverting deltas.
-        self.plane = ViewPlane::new(self.spec.collab(), &self.current);
+        for v in self.adom_log.drain(mark..) {
+            self.past_adom.remove(&v);
+        }
+        self.plane
+            .step(self.spec.collab(), &diff, &self.current, false);
         self.last_deltas.clear();
-        // The provenance plane has no delta inverse either: rebuild it from
-        // the truncated history.
+        // The provenance plane has no delta inverse: rebuild it from the
+        // truncated history.
         if self.prov.is_some() {
             let rebuilt = ProvPlane::build(self);
             self.prov = Some(rebuilt);

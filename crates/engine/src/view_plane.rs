@@ -23,7 +23,10 @@
 //!
 //! The pre-modification tuple needed for the "was in σ" test is
 //! reconstructed by reverting the [`AttrChange`]s onto the post tuple, so
-//! no pre-instance is kept around.
+//! no pre-instance is kept around. The plane also steps *back* across a
+//! diff (undoing a step, for `Run::pop`): that is the same dispatch over
+//! the inverted diff, with created and deleted swapped and each change's
+//! before- and after-values exchanged.
 //!
 //! `view_of` remains the from-scratch reference implementation: the chaos
 //! [`ViewPlaneOracle`](crate::chaos::ViewPlaneOracle), a proptest, and
@@ -101,14 +104,15 @@ impl ViewDelta {
     }
 }
 
-/// Reverts `changes` onto the post-modification tuple, reconstructing the
-/// pre-modification tuple.
-fn revert(post: &Tuple, changes: &[AttrChange]) -> Tuple {
-    let mut old = post.clone();
+/// Reconstructs the tuple on the far side of a modification from the one
+/// at hand: the before-values when moving forward (`t` is the
+/// post-modification tuple), the after-values when moving back.
+fn far_side(t: &Tuple, changes: &[AttrChange], forward: bool) -> Tuple {
+    let mut other = t.clone();
     for c in changes {
-        old.set(c.attr, c.before);
+        other.set(c.attr, if forward { c.before } else { c.after });
     }
-    old
+    other
 }
 
 /// The view delta at peer `p` induced by `diff` (with `post` the instance
@@ -120,15 +124,34 @@ pub fn peer_delta(
     diff: &InstanceDiff,
     post: &Instance,
 ) -> ViewDelta {
+    shift_delta(collab, p, diff, post, true)
+}
+
+/// The view delta at peer `p` of moving across `diff` forward (`at` is the
+/// instance after the diff) or back (`at` is the instance before it). Back
+/// is forward across the inverted diff: created and deleted swap roles, and
+/// so do the before- and after-values of each modification.
+fn shift_delta(
+    collab: &CollabSchema,
+    p: PeerId,
+    diff: &InstanceDiff,
+    at: &Instance,
+    forward: bool,
+) -> ViewDelta {
+    let (come, gone) = if forward {
+        (&diff.created, &diff.deleted)
+    } else {
+        (&diff.deleted, &diff.created)
+    };
     let mut out = ViewDelta::default();
-    for (rel, t) in &diff.created {
+    for (rel, t) in come {
         if let Some(vr) = collab.view(p, *rel) {
             if vr.selects(t) {
                 out.upserts.push((*rel, vr.project(t)));
             }
         }
     }
-    for (rel, t) in &diff.deleted {
+    for (rel, t) in gone {
         if let Some(vr) = collab.view(p, *rel) {
             if vr.selects(t) {
                 out.removals.push((*rel, *t.key()));
@@ -147,13 +170,13 @@ pub fn peer_delta(
         if !selection_touched && !projection_touched {
             continue;
         }
-        let new = post
+        let new = at
             .rel(*rel)
             .get(key)
-            .expect("a modified key survives into the post instance");
+            .expect("a modified key is present on both sides of the diff");
         let now_in = vr.selects(new);
         let was_in = if selection_touched {
-            vr.selects(&revert(new, changes))
+            vr.selects(&far_side(new, changes, forward))
         } else {
             now_in
         };
@@ -188,23 +211,11 @@ pub fn materialize_view(collab: &CollabSchema, p: PeerId, instance: &Instance) -
 }
 
 /// The per-run view plane: one incrementally maintained [`ViewInstance`]
-/// per peer, advanced by [`ViewPlane::step`] from each transition's diff.
-#[derive(Debug)]
+/// per peer, advanced (or stepped back) by [`ViewPlane::step`] from each
+/// transition's diff.
+#[derive(Debug, Clone)]
 pub struct ViewPlane {
     views: Vec<ViewInstance>,
-}
-
-impl Clone for ViewPlane {
-    fn clone(&self) -> Self {
-        ViewPlane {
-            views: self.views.clone(),
-        }
-    }
-
-    /// Element-wise `clone_from` so search arenas reuse per-view buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.views.clone_from(&src.views);
-    }
 }
 
 impl ViewPlane {
@@ -227,18 +238,20 @@ impl ViewPlane {
         &self.views[p.index()]
     }
 
-    /// Advances every view by `diff` (with `post` the instance after the
-    /// diff), returning the non-empty per-peer deltas in peer-id order —
-    /// exactly what the plane broadcasts.
+    /// Moves every view across `diff`, returning the non-empty per-peer
+    /// deltas in peer-id order — exactly what the plane broadcasts. Forward,
+    /// `at` is the instance after the diff; back (`forward = false`, undoing
+    /// a forward step), `at` is the instance before it.
     pub fn step(
         &mut self,
         collab: &CollabSchema,
         diff: &InstanceDiff,
-        post: &Instance,
+        at: &Instance,
+        forward: bool,
     ) -> Vec<(PeerId, ViewDelta)> {
         let mut out = Vec::new();
         for p in collab.peer_ids() {
-            let delta = peer_delta(collab, p, diff, post);
+            let delta = shift_delta(collab, p, diff, at, forward);
             if !delta.is_empty() {
                 delta.apply_to_view(&mut self.views[p.index()]);
                 out.push((p, delta));
@@ -294,7 +307,7 @@ mod tests {
         post: &Instance,
     ) -> Vec<(PeerId, ViewDelta)> {
         let diff = InstanceDiff::between(pre, post);
-        let deltas = plane.step(cs, &diff, post);
+        let deltas = plane.step(cs, &diff, post, true);
         for p in cs.peer_ids() {
             assert_eq!(
                 plane.view(p),
@@ -423,10 +436,18 @@ mod tests {
                 let incremental = peer_delta(&cs, p, &diff, &next);
                 assert_eq!(incremental, scratch);
             }
-            plane.step(&cs, &diff, &next);
+            // Stepping back across the diff returns every view to `cur`'s,
+            // touching as many peers as the forward step did.
+            let forward = plane.step(&cs, &diff, &next, true);
             for p in cs.peer_ids() {
                 assert_eq!(plane.view(p), &cs.view_of(&next, p));
             }
+            let back = plane.step(&cs, &diff, &cur, false);
+            assert_eq!(back.len(), forward.len());
+            for p in cs.peer_ids() {
+                assert_eq!(plane.view(p), &cs.view_of(&cur, p));
+            }
+            plane.step(&cs, &diff, &next, true);
             cur = next;
         }
     }

@@ -170,13 +170,6 @@ impl Clone for RelStore {
             index: RwLock::new(self.index.read().unwrap().clone()),
         }
     }
-
-    /// Reuses the destination's column buffers (arena slot overwrite path).
-    fn clone_from(&mut self, src: &Self) {
-        self.keys.clone_from(&src.keys);
-        self.rows.clone_from(&src.rows);
-        *self.index.get_mut().unwrap() = src.index.read().unwrap().clone();
-    }
 }
 
 /// Equality is over the row content only (the index cache is derived state).

@@ -550,11 +550,10 @@ mod par_analysis_props {
 mod scratch_props {
     use super::*;
     use collab_workflows::core::{is_scenario_against, is_subrun, visible_set};
-    use collab_workflows::engine::ScratchRun;
 
-    /// The legacy scenario oracle: materialize the full subrun, then compare
-    /// whole run views — what `is_scenario_against` did before the streaming
-    /// `ScratchRun` rewrite. Kept here as the differential reference.
+    /// The from-scratch scenario oracle: materialize the full subrun, then
+    /// compare whole run views. The differential reference for the
+    /// streaming `is_scenario_against`.
     fn legacy_is_scenario(
         run: &Run,
         peer: collab_workflows::model::PeerId,
@@ -568,29 +567,6 @@ mod scratch_props {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The streaming `ScratchRun` replay agrees with the full `Run` at
-        /// every prefix — same acceptance, same current instance, same peer
-        /// views, same per-event visibility.
-        #[test]
-        fn scratch_run_tracks_run_at_every_prefix(gen_seed in 0u64..500, run_seed in 0u64..500) {
-            let mut rng = StdRng::seed_from_u64(gen_seed);
-            let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
-            let run = random_run(&w.spec, 12, run_seed);
-            let collab = run.spec().collab();
-            let mut scratch = ScratchRun::restart_of(&run);
-            let mut history = run.cursor();
-            while let Some(step) = history.next() {
-                let i = step.index;
-                scratch.try_push(step.event).expect("a run replays itself");
-                prop_assert_eq!(scratch.current(), step.post);
-                for p in collab.peer_ids() {
-                    prop_assert_eq!(scratch.view(p), &collab.view_of(step.post, p));
-                    let own = step.event.peer == p;
-                    prop_assert_eq!(own || scratch.changed(p), run.visible_at(i, p));
-                }
-            }
-        }
 
         /// The streaming scenario test is decision-identical to the legacy
         /// subrun-then-compare oracle on random subsets — including subsets
@@ -947,38 +923,52 @@ mod history_props {
             }
         }
 
-        /// Pushing an event and popping it leaves the run equal to one that
-        /// never saw it: events, current instance, diffs, view plane,
-        /// avoid-set and provenance.
+        /// Popping leaves the run equal to one that never saw the popped
+        /// events: events, current instance, diffs, visibility, view plane,
+        /// avoid-set and provenance. The walk is shaped like scenario
+        /// search: it pushes a subsequence of a run's events (some of which
+        /// fail to apply and leave the walk unchanged) and pops a random
+        /// number of them at a time, checking against a replay of the kept
+        /// events after every step.
         #[test]
         fn push_then_pop_is_invisible(
             task in 0u8..2, seed in 0u64..500, picks in prop::collection::vec(0u32..64, 1..30),
-            cut in 0usize..64,
+            moves in prop::collection::vec((0usize..64, 0usize..4), 1..40),
         ) {
             let full = random_history(task == 1, seed, &picks);
-            if full.is_empty() {
-                return Ok(());
-            }
-            let k = cut % full.len();
-            let mut never = Run::replay(full.spec_arc(), full.initial().clone(), full.events()[..k].to_vec())
-                .expect("a run's prefixes replay");
-            never.enable_provenance();
-            let mut popped = never.clone();
-            popped.push(full.event(k).clone()).expect("the run's next event applies");
-            prop_assert_eq!(popped.pop().as_ref(), Some(full.event(k)));
-            prop_assert_eq!(popped.events(), never.events());
-            prop_assert_eq!(popped.current(), never.current());
-            for i in 0..k {
-                prop_assert_eq!(popped.diff(i), never.diff(i));
-                for p in full.spec().collab().peer_ids() {
-                    prop_assert_eq!(popped.visible_at(i, p), never.visible_at(i, p));
+            let n = full.len();
+            let mut walk = Run::with_initial(full.spec_arc(), full.initial().clone());
+            walk.enable_provenance();
+            // The positions in `full` of the walk's events, ascending.
+            let mut stack: Vec<usize> = Vec::new();
+            for (pick, pops) in moves {
+                let from = stack.last().map_or(0, |&i| i + 1);
+                if pops == 0 || from == n {
+                    for _ in 0..pick % (stack.len() + 1) {
+                        prop_assert_eq!(walk.pop().as_ref(), Some(full.event(stack.pop().unwrap())));
+                    }
+                } else {
+                    let i = from + pick % (n - from);
+                    if walk.push(full.event(i).clone()).is_ok() {
+                        stack.push(i);
+                    }
                 }
+                let mut kept = Run::replay(full.spec_arc(), full.initial().clone(), walk.events().to_vec())
+                    .expect("the walk's events replay");
+                kept.enable_provenance();
+                prop_assert_eq!(walk.current(), kept.current());
+                for i in 0..walk.len() {
+                    prop_assert_eq!(walk.diff(i), kept.diff(i));
+                    for p in full.spec().collab().peer_ids() {
+                        prop_assert_eq!(walk.visible_at(i, p), kept.visible_at(i, p));
+                    }
+                }
+                for p in full.spec().collab().peer_ids() {
+                    prop_assert_eq!(walk.peer_view(p), kept.peer_view(p));
+                }
+                prop_assert_eq!(walk.used_values(), kept.used_values());
+                prop_assert_eq!(walk.provenance(), kept.provenance());
             }
-            for p in full.spec().collab().peer_ids() {
-                prop_assert_eq!(popped.peer_view(p), never.peer_view(p));
-            }
-            prop_assert_eq!(popped.used_values(), never.used_values());
-            prop_assert_eq!(popped.provenance(), never.provenance());
         }
     }
 
